@@ -48,8 +48,9 @@ class GameParams:
     def __post_init__(self):
         for name in ("phi1", "phi2", "x1", "x2", "adversary_budget"):
             value = getattr(self, name)
-            if not (value > 0):
-                raise ValueError(f"{name} must be strictly positive, got {value}")
+            if not (0.0 < value < math.inf):
+                kind = "strictly positive" if math.isfinite(value) else "finite"
+                raise ValueError(f"{name} must be {kind}, got {value}")
 
 
 @dataclass(frozen=True)

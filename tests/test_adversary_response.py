@@ -45,6 +45,14 @@ class TestNormalize:
         with pytest.raises(ValueError):
             GameParams(**base)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["phi1", "phi2", "x1", "x2", "adversary_budget"])
+    def test_rejects_nonfinite_parameters(self, name, value):
+        base = dict(phi1=1.0, phi2=1.0, x1=1.0, x2=1.0, adversary_budget=1.0)
+        base[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GameParams(**base)
+
 
 class TestClassify:
     def test_reference_games(self):

@@ -83,6 +83,16 @@ class TestAnalyze:
         assert code == 2
         assert "phi1" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_parameter_exits_2(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "analyze", "--phi1", "1", "--phi2", value, "--x1", "0.5",
+            "--x2", "1.5", "--beta", "0.8",
+        )
+        assert code == 2
+        assert out == ""
+        assert "phi2 must be finite" in err
+
     def test_bad_beta_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", *G1_FLAGS, "--beta", "1.5")
         assert code == 2

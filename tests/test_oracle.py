@@ -1,20 +1,23 @@
-"""Grid oracle: enumeration examples, convergence, and independence from closed forms."""
+"""Grid oracle: enumeration examples, bisection against enumeration, convergence,
+and independence from closed forms."""
 
 import ast
 import inspect
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import blotto_alliance.oracle as oracle_module
 from blotto_alliance import adversary_response, transfer_engine
-from blotto_alliance.cli import closed_form_summary
+from blotto_alliance.cli import DEFAULT_VERIFY_BETAS, FIXED_SEED_GAMES, closed_form_summary
 from blotto_alliance.oracle import (
     OracleConfig,
     adversary_grid_best_response,
     transfer_grid_scan,
 )
-from support import CASE1_GAME, CASE3_GAME, G1
+from support import CASE1_GAME, CASE3_GAME, CASE4_GAME, G1, random_game_of_case
 
 COARSE = OracleConfig(tau_step=1e-3, split_step=1e-3)
 
@@ -39,6 +42,80 @@ class TestGridBestResponse:
         g = adversary_response.GameParams(1e-9, 1.0, 1e-9, 1.0)
         a_star, _ = adversary_grid_best_response(g, split_step=0.25)
         assert a_star == 0.0
+
+
+def assert_bisection_matches_enumeration(phi1, phi2, x1b, x2b, n_split, rows_per_slice=500):
+    """The scan's bisection against plain enumeration, row by row.
+
+    Both must pick the same split, with bit-identical payoffs, unless the
+    bisection's split is itself a minimizer within 1e-12*(phi1 + phi2):
+    then the enumeration's minimizer is not unique, and rounding on the flat
+    stretch decides which of the tied splits each method lands on.
+    Enumeration runs slice by slice to keep its row-by-split matrices small.
+    """
+    a_b, u1_b, u2_b = oracle_module._bisect_rows(phi1, phi2, x1b, x2b, n_split)
+    tol = 1e-12 * (phi1 + phi2)
+    ties = 0
+    for lo in range(0, x1b.size, rows_per_slice):
+        sl = slice(lo, lo + rows_per_slice)
+        a_e, u1_e, u2_e = oracle_module._enumerate_rows(phi1, phi2, x1b[sl], x2b[sl], n_split)
+        same = a_b[sl] == a_e
+        np.testing.assert_array_equal(u1_b[sl][same], u1_e[same])
+        np.testing.assert_array_equal(u2_b[sl][same], u2_e[same])
+        gap = (u1_b[sl] + u2_b[sl]) - (u1_e + u2_e)
+        assert np.all(gap[~same] <= tol), (phi1, phi2, x1b[sl][~same], x2b[sl][~same])
+        ties += int((~same).sum())
+    return ties
+
+
+class TestBisectionAgainstEnumeration:
+    """transfer_grid_scan bisects each tau row; single rows are enumerated."""
+
+    @pytest.mark.parametrize("label", sorted(FIXED_SEED_GAMES))
+    def test_fixed_games_on_the_audit_grid(self, label):
+        # every 10th row of the audit's tau grid at every verify beta
+        g = FIXED_SEED_GAMES[label]
+        for beta in DEFAULT_VERIFY_BETAS:
+            _, x1b, x2b, _ = oracle_module._tau_grid(g, beta, OracleConfig())
+            ties = assert_bisection_matches_enumeration(
+                g.phi1, g.phi2, x1b[::10], x2b[::10], 1000
+            )
+            assert ties <= 2, (label, beta, ties)
+
+    def test_flat_objective_of_proportional_games(self, rng):
+        # phi1/x1 == phi2/x2 with x1 + x2 > 1: the combined payoff is constant
+        # for every split in [1 - x2, x1], where both players are strong
+        games = [CASE4_GAME] + [random_game_of_case(rng, 4) for _ in range(5)]
+        for g in games:
+            scale = np.linspace(1.0, 3.0, 400)
+            x1b, x2b = g.x1 * scale, g.x2 * scale
+            ties = assert_bisection_matches_enumeration(g.phi1, g.phi2, x1b, x2b, 1000)
+            assert ties > 0, "rounding on the flat stretch should leave tied minimizers"
+            # one split step off the flat stretch already costs far more than rounding
+            a_star, _, _ = oracle_module._bisect_rows(g.phi1, g.phi2, x1b, x2b, 1000)
+            assert np.all(a_star >= 1.0 - x2b - 1e-12), g
+            assert np.all(a_star <= x1b + 1e-12), g
+
+    @pytest.mark.parametrize("label", sorted(FIXED_SEED_GAMES))
+    def test_coarse_split_grid(self, label):
+        g = FIXED_SEED_GAMES[label]
+        for beta in DEFAULT_VERIFY_BETAS:
+            _, x1b, x2b, _ = oracle_module._tau_grid(g, beta, OracleConfig(tau_step=1e-3))
+            for n_split in (1, 2, 4):
+                assert_bisection_matches_enumeration(g.phi1, g.phi2, x1b, x2b, n_split)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.integers(min_value=1, max_value=1000),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_random_rows(self, log_phi1, log_phi2, n_split, seed):
+        budgets = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, size=(2, 64))
+        assert_bisection_matches_enumeration(
+            10.0**log_phi1, 10.0**log_phi2, budgets[0], budgets[1], n_split
+        )
 
 
 class TestTransferGridScan:
