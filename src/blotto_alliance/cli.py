@@ -301,9 +301,9 @@ def cmd_analyze(args) -> int:
             "mb_interval_anomaly": analysis.mb_interval_anomaly,
         },
         "provenance": {
-            "tau_tolerance": 1e-9,
+            "tau_tolerance": transfer_engine._TAU_ABS_TOL,
             "proportional_rtol": PROPORTIONAL_RTOL,
-            "transfer_domain_edge": 1e-12,
+            "transfer_domain_edge": transfer_engine._EDGE,
             "case4_split_convention": "proportional: x_a_i = x_i / (x1 + x2)",
         },
     }

@@ -12,20 +12,14 @@ the other side are marked out of frame and carry no analysis fields.
 import math
 from dataclasses import dataclass
 
-from blotto_alliance.adversary_response import (
-    Case,
-    GameParams,
-    _classify_f,
-)
+from blotto_alliance.adversary_response import Case, GameParams
 from blotto_alliance.transfer_engine import (
-    Transfer,
-    _alliance_value_f,
-    _in_g_dagger_f,
-    _march_alliance,
-    _mb_threshold_f,
+    _check_beta,
+    _induced_payoffs,
+    _mutual_benefit_f,
+    _tau_bounds,
     alliance_optimal,
     mb_exists,
-    payoffs_at,
 )
 
 
@@ -104,18 +98,9 @@ def region_raster(grid: SweepGrid) -> list[SweepCell]:
                 if phi2 * x1 > phi1 * x2:
                     cells.append(SweepCell(beta=beta, x1=x1, x2=x2, in_frame=False))
                     continue
-                case = _classify_f(phi1, phi2, x1, x2)
-                threshold = _mb_threshold_f(phi1, phi2, x1, x2)
-                exists = case in (2, 3) and beta > threshold
-                tau_dagger, gain = 0.0, 0.0
-                if not _in_g_dagger_f(phi1, phi2, x1, x2, beta):
-                    t_dag = _march_alliance(phi1, phi2, x1, x2, beta)
-                    tau_dagger = -t_dag
-                    gain = max(
-                        _alliance_value_f(phi1, phi2, x1, x2, beta, t_dag)
-                        - _alliance_value_f(phi1, phi2, x1, x2, beta, 0.0),
-                        0.0,
-                    )
+                case, threshold, exists = _mutual_benefit_f(phi1, phi2, x1, x2, beta)
+                # an in-frame cell is its own oriented unit-adversary game
+                tau_dagger, gain = alliance_optimal(GameParams(phi1, phi2, x1, x2), beta)
                 cells.append(
                     SweepCell(
                         beta=beta,
@@ -136,6 +121,7 @@ def payoff_curves(
     g: GameParams, beta: float, tau_range: tuple[float, float], steps: int
 ) -> list[tuple[float, float, float, float]]:
     """Rows (tau, du1, du2, u12) at evenly spaced transfers over tau_range."""
+    _check_beta(beta)
     lo, hi = tau_range
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
@@ -143,15 +129,13 @@ def payoff_curves(
         raise ValueError("tau range must satisfy lo < hi")
     if lo < -g.x2 or hi > g.x1:
         raise ValueError(f"tau range must lie within (-{g.x2}, {g.x1})")
-    base = payoffs_at(g, Transfer(tau=0.0, beta=beta))
-    eps_lo = -g.x2 + max(1e-12, 1e-12 * g.x2)
-    eps_hi = g.x1 - max(1e-12, 1e-12 * g.x1)
+    u1_base, u2_base = _induced_payoffs(g, 0.0, beta)
+    eps_lo, eps_hi = _tau_bounds(g.x1, g.x2)
     rows = []
     for i in range(steps):
-        tau = lo + (hi - lo) * i / (steps - 1)
-        tau = min(max(tau, eps_lo), eps_hi)
-        p = payoffs_at(g, Transfer(tau=tau, beta=beta))
-        rows.append((tau, p.u1 - base.u1, p.u2 - base.u2, p.u1 + p.u2))
+        tau = min(max(lo + (hi - lo) * i / (steps - 1), eps_lo), eps_hi)
+        u1, u2 = _induced_payoffs(g, tau, beta)
+        rows.append((tau, u1 - u1_base, u2 - u2_base, u1 + u2))
     return rows
 
 
@@ -192,12 +176,10 @@ def beta_sweep(
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
 
-    base = payoffs_at(g, Transfer(tau=0.0, beta=1.0))
-    u1_nom, u2_nom = base.u1, base.u2
+    u1_nom, u2_nom = _induced_payoffs(g, 0.0, 1.0)
     u12_nom = u1_nom + u2_nom
 
-    eps_lo = -g.x2 + max(1e-12, 1e-12 * g.x2)
-    eps_hi = g.x1 - max(1e-12, 1e-12 * g.x1)
+    eps_lo, eps_hi = _tau_bounds(g.x1, g.x2)
     taus = [eps_lo + (eps_hi - eps_lo) * i / (tau_steps - 1) for i in range(tau_steps)]
     taus.append(0.0)
 
@@ -207,15 +189,15 @@ def beta_sweep(
         max_u1_mut = max_u2_mut = -math.inf
         max_u1_any = max_u2_any = -math.inf
         for tau in taus:
-            p = payoffs_at(g, Transfer(tau=tau, beta=beta))
-            max_u1_any = max(max_u1_any, p.u1)
-            max_u2_any = max(max_u2_any, p.u2)
-            if p.u2 >= u2_nom - 1e-12:
-                max_u1_mut = max(max_u1_mut, p.u1)
-            if p.u1 >= u1_nom - 1e-12:
-                max_u2_mut = max(max_u2_mut, p.u2)
+            u1, u2 = _induced_payoffs(g, tau, beta)
+            max_u1_any = max(max_u1_any, u1)
+            max_u2_any = max(max_u2_any, u2)
+            if u2 >= u2_nom - 1e-12:
+                max_u1_mut = max(max_u1_mut, u1)
+            if u1 >= u1_nom - 1e-12:
+                max_u2_mut = max(max_u2_mut, u2)
         tau_dag, gain = alliance_optimal(g, beta)
-        p_dag = payoffs_at(g, Transfer(tau=tau_dag, beta=beta))
+        u1_dag, u2_dag = _induced_payoffs(g, tau_dag, beta)
         rows.append(
             BetaSweepRow(
                 beta=beta,
@@ -227,8 +209,8 @@ def beta_sweep(
                 max_u1_any=max_u1_any,
                 max_u2_any=max_u2_any,
                 max_u12=u12_nom + gain,
-                u1_at_alliance_opt=p_dag.u1,
-                u2_at_alliance_opt=p_dag.u2,
+                u1_at_alliance_opt=u1_dag,
+                u2_at_alliance_opt=u2_dag,
                 mb_exists=mb_exists(g, beta),
                 alliance_nonzero=tau_dag != 0.0,
             )

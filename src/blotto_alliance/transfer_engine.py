@@ -42,11 +42,13 @@ from blotto_alliance.adversary_response import (
 )
 
 # Transfers are clamped this far inside the open domain (-x2, x1) before
-# payoff evaluation; the boundaries themselves are excluded.
+# payoff evaluation: absolute for budgets below 1, relative above (see
+# _tau_bounds); the boundaries themselves are excluded.
 _EDGE = 1e-12
 _TAU_ABS_TOL = 1e-9
 _MAX_BISECT = 200
 _SCAN_POINTS = 97
+_MARGIN_STEPS = 2001
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -111,20 +113,24 @@ def _induced_budgets(x1: float, x2: float, tau: float, beta: float) -> tuple[flo
     return x1 + beta * (-tau), x2 - (-tau)
 
 
-def _clamp_tau(g: GameParams, tau: float) -> float:
-    lo = -g.x2 + max(_EDGE, _EDGE * g.x2)
-    hi = g.x1 - max(_EDGE, _EDGE * g.x1)
-    return min(max(tau, lo), hi)
+def _tau_bounds(x1: float, x2: float) -> tuple[float, float]:
+    """The closed range of transfers that payoffs are evaluated at."""
+    return -x2 + max(_EDGE, _EDGE * x2), x1 - max(_EDGE, _EDGE * x1)
+
+
+def _induced_payoffs(g: GameParams, tau: float, beta: float) -> tuple[float, float]:
+    """Payoffs (u1, u2) of the game induced by a transfer, tau clamped to _tau_bounds."""
+    lo, hi = _tau_bounds(g.x1, g.x2)
+    x1_bar, x2_bar = _induced_budgets(g.x1, g.x2, min(max(tau, lo), hi), beta)
+    xa = g.adversary_budget
+    return _payoffs_any_f(g.phi1, g.phi2, x1_bar / xa, x2_bar / xa)
 
 
 def payoffs_at(g: GameParams, t: Transfer) -> PayoffProfile:
     """Equilibrium payoffs of the game induced by the transfer, caller's frame."""
     if not (-g.x2 < t.tau < g.x1):
         raise ValueError(f"tau must lie in (-{g.x2}, {g.x1}), got {t.tau}")
-    tau = _clamp_tau(g, t.tau)
-    x1_bar, x2_bar = _induced_budgets(g.x1, g.x2, tau, t.beta)
-    xa = g.adversary_budget
-    u1, u2 = _payoffs_any_f(g.phi1, g.phi2, x1_bar / xa, x2_bar / xa)
+    u1, u2 = _induced_payoffs(g, t.tau, t.beta)
     return PayoffProfile(u1=u1, u2=u2, u_adversary=g.phi1 + g.phi2 - u1 - u2)
 
 
@@ -162,14 +168,20 @@ def mb_beta_threshold(g: GameParams) -> float:
     return _mb_threshold_f(phi1, phi2, x1, x2)
 
 
+def _mutual_benefit_f(
+    phi1: float, phi2: float, x1: float, x2: float, beta: float
+) -> tuple[int, float, bool]:
+    """(case, threshold, exists) for an oriented unit-adversary game."""
+    case = _classify_f(phi1, phi2, x1, x2)
+    threshold = _mb_threshold_f(phi1, phi2, x1, x2)
+    return case, threshold, case in (2, 3) and beta > threshold
+
+
 def mb_exists(g: GameParams, beta: float) -> bool:
     """Whether some transfer strictly raises both players' payoffs."""
     _check_beta(beta)
     phi1, phi2, x1, x2, _ = _oriented_floats(g)
-    case = _classify_f(phi1, phi2, x1, x2)
-    if case in (1, 4):
-        return False
-    return beta > _mb_threshold_f(phi1, phi2, x1, x2)
+    return _mutual_benefit_f(phi1, phi2, x1, x2, beta)[2]
 
 
 def in_g_dagger(g: GameParams, beta: float) -> bool:
@@ -295,7 +307,7 @@ def _march_alliance(phi1: float, phi2: float, x1: float, x2: float, beta: float)
             return big_k - math.sqrt(ratio * u / v)
         return beta * math.sqrt(phi1 * v / (phi2 * u)) - big_k
 
-    t_top = x2 - max(_EDGE, _EDGE * x2)
+    t_top = -_tau_bounds(x1, x2)[0]
     ts = {t_top * i / (_SCAN_POINTS - 1) for i in range(_SCAN_POINTS)}
     nudge = 1e-7 * x2
     for seed in _boundary_seeds(phi1, phi2, x1, x2, beta, t_top):
@@ -352,12 +364,6 @@ def _march_alliance(phi1: float, phi2: float, x1: float, x2: float, beta: float)
     )
 
 
-def _alliance_value_f(phi1: float, phi2: float, x1: float, x2: float, beta: float, t: float) -> float:
-    u, v = x1 + beta * t, x2 - t
-    u1, u2 = _payoffs_any_f(phi1, phi2, u, v)
-    return u1 + u2
-
-
 def alliance_optimal(g: GameParams, beta: float) -> tuple[float, float]:
     """The transfer maximizing u1 + u2 and its gain over no transfer.
 
@@ -366,13 +372,12 @@ def alliance_optimal(g: GameParams, beta: float) -> tuple[float, float]:
     in the oriented frame) and the gain is positive.
     """
     _check_beta(beta)
-    phi1, phi2, x1, x2, swapped = _oriented_floats(g)
+    gn, orientation = normalize(g)
+    phi1, phi2, x1, x2 = gn.phi1, gn.phi2, gn.x1, gn.x2
     if _in_g_dagger_f(phi1, phi2, x1, x2, beta):
         return 0.0, 0.0
     t_dag = _march_alliance(phi1, phi2, x1, x2, beta)
-    gain = _alliance_value_f(phi1, phi2, x1, x2, beta, t_dag) - _alliance_value_f(
-        phi1, phi2, x1, x2, beta, 0.0
-    )
+    gain = sum(_induced_payoffs(gn, -t_dag, beta)) - sum(_induced_payoffs(gn, 0.0, beta))
     if gain < -1e-9 * (phi1 + phi2):
         raise InternalInconsistencyError(
             "alliance march produced a losing transfer",
@@ -380,7 +385,7 @@ def alliance_optimal(g: GameParams, beta: float) -> tuple[float, float]:
         )
     gain = max(gain, 0.0)
     tau_oriented = -t_dag
-    tau_raw = (-tau_oriented if swapped else tau_oriented) * g.adversary_budget
+    tau_raw = (-tau_oriented if orientation.swapped else tau_oriented) * g.adversary_budget
     return tau_raw, gain
 
 
@@ -406,7 +411,7 @@ def _mb_interval_oriented(
         u1, u2 = _payoffs_any_f(phi1, phi2, u, v)
         return min(u1 - u1_base, u2 - u2_base)
 
-    lo_edge = -x2 + max(_EDGE, _EDGE * x2)
+    lo_edge = _tau_bounds(x1, x2)[0]
     n_linear = 2048
     taus = [lo_edge * (1.0 - i / n_linear) for i in range(n_linear)]  # ascending to ~0
     taus += [-x2 * 2.0**-k for k in range(12, 46)]
@@ -466,8 +471,7 @@ def mb_interval(g: GameParams, beta: float) -> tuple[float, float] | None:
     """Open interval of transfers improving both players, in the caller's frame."""
     _check_beta(beta)
     phi1, phi2, x1, x2, swapped = _oriented_floats(g)
-    case = _classify_f(phi1, phi2, x1, x2)
-    if case in (1, 4) or beta <= _mb_threshold_f(phi1, phi2, x1, x2):
+    if not _mutual_benefit_f(phi1, phi2, x1, x2, beta)[2]:
         return None
     interval, _ = _mb_interval_oriented(phi1, phi2, x1, x2, beta)
     if interval is None:
@@ -489,9 +493,7 @@ def analyze(g: GameParams, beta: float) -> TransferAnalysis:
     _check_beta(beta)
     gn, orientation = normalize(g)
     phi1, phi2, x1, x2 = gn.phi1, gn.phi2, gn.x1, gn.x2
-    case = _classify_f(phi1, phi2, x1, x2)
-    threshold = _mb_threshold_f(phi1, phi2, x1, x2)
-    exists = case in (2, 3) and beta > threshold
+    case, threshold, exists = _mutual_benefit_f(phi1, phi2, x1, x2, beta)
 
     interval_raw = None
     anomaly = False
@@ -502,11 +504,7 @@ def analyze(g: GameParams, beta: float) -> TransferAnalysis:
         else:
             anomaly = True
 
-    dagger = _in_g_dagger_f(phi1, phi2, x1, x2, beta)
-    if dagger:
-        alliance_tau, gain = 0.0, 0.0
-    else:
-        alliance_tau, gain = alliance_optimal(g, beta)
+    alliance_tau, gain = alliance_optimal(g, beta)
 
     return TransferAnalysis(
         mb_exists=exists,
@@ -514,14 +512,14 @@ def analyze(g: GameParams, beta: float) -> TransferAnalysis:
         mb_beta_threshold=threshold,
         alliance_tau=alliance_tau,
         alliance_payoff_gain=gain,
-        in_g_dagger=dagger,
+        in_g_dagger=_in_g_dagger_f(phi1, phi2, x1, x2, beta),
         case_at_zero=Case(case),
         orientation=orientation,
         mb_interval_anomaly=anomaly,
     )
 
 
-def mutual_margin(g: GameParams, beta: float, steps: int = 2001) -> float:
+def mutual_margin(g: GameParams, beta: float) -> float:
     """Best simultaneous improvement max_tau min(du1, du2) on a closed-form grid.
 
     Used to gate oracle comparisons: a grid oracle can only be expected to
@@ -529,14 +527,12 @@ def mutual_margin(g: GameParams, beta: float, steps: int = 2001) -> float:
     """
     _check_beta(beta)
     gn, _ = normalize(g)
-    base = payoffs_at(gn, Transfer(tau=0.0, beta=beta))
-    lo = -gn.x2 + max(_EDGE, _EDGE * gn.x2)
-    hi = gn.x1 - max(_EDGE, _EDGE * gn.x1)
+    u1_base, u2_base = _induced_payoffs(gn, 0.0, beta)
+    lo, hi = _tau_bounds(gn.x1, gn.x2)
     best = -math.inf
-    for i in range(steps):
-        tau = lo + (hi - lo) * i / (steps - 1)
-        p = payoffs_at(gn, Transfer(tau=tau, beta=beta))
-        best = max(best, min(p.u1 - base.u1, p.u2 - base.u2))
+    for i in range(_MARGIN_STEPS):
+        u1, u2 = _induced_payoffs(gn, lo + (hi - lo) * i / (_MARGIN_STEPS - 1), beta)
+        best = max(best, min(u1 - u1_base, u2 - u2_base))
     return best
 
 

@@ -1,6 +1,7 @@
 """CLI surface: flags, schemas, exit codes, and byte determinism."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -9,6 +10,55 @@ import pytest
 from blotto_alliance.cli import _dumps, _json_float, main
 
 G1_FLAGS = ["--phi1", "1", "--phi2", "1.2", "--x1", "0.5", "--x2", "1.5"]
+# G1 with every budget tripled; the adversary holds 3
+G1_XA_FLAGS = ["--phi1", "1", "--phi2", "1.2", "--x1", "1.5", "--x2", "4.5", "--xa", "3"]
+# G1 with the players exchanged, so analysis runs in the swapped frame
+G1_SWAPPED_FLAGS = ["--phi1", "1.2", "--phi2", "1", "--x1", "1.5", "--x2", "0.5"]
+
+# sha256 of stdout for fixed commands. The behaviour contract is identical
+# bytes: a change that moves a digit here must name it and say why.
+GOLDEN_STDOUT = {
+    "analyze-json": (
+        ["analyze", *G1_FLAGS, "--beta", "0.8", "--json"],
+        "e6cf951109395876d75a707e8d72205d2ebed83ca26053e20c9e258d0840b6e8",
+    ),
+    "analyze-json-xa": (
+        ["analyze", *G1_XA_FLAGS, "--beta", "0.8", "--json"],
+        "005a3750b8ede66997191924227a1548a2b945e4c7f556e7a999c8df73f52d6c",
+    ),
+    "analyze-text-swapped": (
+        ["analyze", *G1_SWAPPED_FLAGS, "--beta", "0.9", "--text"],
+        "b5bad33d9c2c88bbac93f0ae53bdae934153273a940e4cfea6a040b546a37020",
+    ),
+    "curve": (
+        ["curve", *G1_FLAGS, "--beta", "0.8", "--tau-min", "-1.5", "--tau-max", "0.5", "--steps", "401"],
+        "53130435b7fefe8c18f09fde1061348c1b7788c191e7dc133ea81414a862b690",
+    ),
+    "curve-xa": (
+        ["curve", *G1_XA_FLAGS, "--beta", "0.8", "--tau-min", "-4.5", "--tau-max", "1.5", "--steps", "401"],
+        "db5fa5c764c1c5cd1fdba9431b5c0daed6bffefef28e8b3bc5ec28eedba31cf1",
+    ),
+    "region": (
+        [
+            "region", "--phi1", "1.2", "--phi2", "1", "--beta-list", "0.25,0.5,1.0",
+            "--x1-min", "0.1", "--x1-max", "3.0", "--x2-min", "0.1", "--x2-max", "3.0",
+            "--resolution", "40",
+        ],
+        "4ec66e67e17e82c72ce3d55af89ad167b830e8adf42923de26f9383e7ce161c5",
+    ),
+    "beta-sweep": (
+        ["beta-sweep", *G1_FLAGS, "--beta-min", "0.05", "--beta-max", "1.0", "--steps", "50"],
+        "5d85e8c02e2017ed2451e34ad8a6a020c55eb86cc295673212534f616dda9ea8",
+    ),
+    "beta-sweep-xa": (
+        ["beta-sweep", *G1_XA_FLAGS, "--beta-min", "0.05", "--beta-max", "1.0", "--steps", "50"],
+        "f7b02f6556bb35d79cc2c78d230523611aee99b4a9256f463232b975bd49515f",
+    ),
+    "verify": (
+        ["verify", "--trials", "3", "--seed", "7", "--tau-step", "1e-3"],
+        "351506f5f1c3741405757ced43cc51e9bf380b256b46abd71d44e40d0ec113df",
+    ),
+}
 
 
 def run_cli(capsys, *argv):
@@ -20,6 +70,15 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name", list(GOLDEN_STDOUT))
+    def test_stdout_unchanged(self, capsys, name):
+        argv, digest = GOLDEN_STDOUT[name]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestSerialization:

@@ -107,6 +107,9 @@ class TestPayoffCurves:
             payoff_curves(G1, 1.0, (-2.0, 0.4), 10)
         with pytest.raises(ValueError, match="tau range"):
             payoff_curves(G1, 1.0, (-1.0, 0.6), 10)
+        for beta in (0.0, 1.5):
+            with pytest.raises(ValueError, match="beta"):
+                payoff_curves(G1, beta, (-1.0, 0.4), 10)
 
 
 class TestBetaSweep:

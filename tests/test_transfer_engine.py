@@ -6,6 +6,7 @@ import pytest
 
 from blotto_alliance.adversary_response import Case, GameParams, mirror
 from blotto_alliance.transfer_engine import (
+    InternalInconsistencyError,
     Transfer,
     alliance_beta_threshold,
     alliance_optimal,
@@ -309,3 +310,34 @@ class TestAnalyze:
             if report.mb_exists:
                 assert report.alliance_tau != 0.0
             assert report.in_g_dagger == (report.alliance_tau == 0.0)
+
+
+class TestKnownMarchFaults:
+    """Two known faults of the alliance march on extreme budget ratios.
+
+    Both are pinned as strict expected failures, so a change that alters
+    either fault is reported, and a fix of the march turns them into passes.
+    """
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=InternalInconsistencyError,
+        reason="march raises 'combined payoff still improving at the donation limit'",
+    )
+    def test_tiny_budgets_reach_an_optimum(self):
+        g = GameParams(430.68339991383306, 2.595334120745248e-05, 1.2505347403904855e-06, 1.1153075458945495e-05)
+        _, gain = alliance_optimal(g, 0.8522946148256045)
+        assert gain > 0.0
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="march stops at tau 0.000201; tau 0.001 pays 6.6e-5 more",
+    )
+    def test_extreme_ratio_is_not_beaten_by_a_larger_transfer(self):
+        g = GameParams(
+            8415.22266849264, 0.00014135579166912234, 40013.94656382554,
+            3.0081503146076037e-05, 0.00035837601208222057,
+        )
+        tau, _ = alliance_optimal(g, 0.8)
+        assert alliance_payoff(g, Transfer(tau, 0.8)) >= alliance_payoff(g, Transfer(0.001, 0.8))
