@@ -54,6 +54,29 @@ GOLDEN_STDOUT = {
         ["beta-sweep", *G1_XA_FLAGS, "--beta-min", "0.05", "--beta-max", "1.0", "--steps", "50"],
         "f7b02f6556bb35d79cc2c78d230523611aee99b4a9256f463232b975bd49515f",
     ),
+    "beta-sweep-case-3": (
+        [
+            "beta-sweep", "--phi1", "2", "--phi2", "0.5", "--x1", "0.05", "--x2", "0.5",
+            "--beta-min", "0.05", "--beta-max", "1.0", "--steps", "200",
+        ],
+        "74b66a8ee7055b845cc5509ba00f4a1e46b99c1eb9dfb06510639f7cbf1cf6e9",
+    ),
+    "curve-case-4": (
+        [
+            "curve", "--phi1", "1", "--phi2", "2", "--x1", "0.5", "--x2", "1", "--beta", "0.7",
+            "--tau-min", "-1", "--tau-max", "0.5", "--steps", "401",
+        ],
+        "a5d356a4c2e9e471517d9139c2c1ff546f15a54f35368875dd4d4343e83f4d61",
+    ),
+    # phi1 < phi2 on a box taller than wide: 3,837 of 4,800 cells in frame
+    "region-phi1-below-phi2": (
+        [
+            "region", "--phi1", "1", "--phi2", "1.2", "--beta-list", "0.25,0.5,1.0",
+            "--x1-min", "0.1", "--x1-max", "1.0", "--x2-min", "0.1", "--x2-max", "3.0",
+            "--resolution", "40",
+        ],
+        "3f6d4e8c48613234b093d46cdf5fe205a089786bd6bc6eea180acf8b95d8022c",
+    ),
     "verify": (
         ["verify", "--trials", "3", "--seed", "7", "--tau-step", "1e-3"],
         "351506f5f1c3741405757ced43cc51e9bf380b256b46abd71d44e40d0ec113df",
