@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
+import numpy as np
+
 from blotto_alliance import lotto_core
 
 # Relative tolerance under which phi2*x1 and phi1*x2 are treated as equal,
@@ -146,6 +148,57 @@ def _payoffs_any_f(phi1: float, phi2: float, x1: float, x2: float) -> tuple[floa
         u2, u1 = _payoffs_f(phi2, phi1, x2, x1)
         return u1, u2
     return _payoffs_f(phi1, phi2, x1, x2)
+
+
+# Array kernel: the scalar functions above over numpy arrays of budgets with
+# scalar valuations, element for element in the same order of operations, so
+# every element equals its scalar counterpart bit for bit.
+
+
+def _orient_vec(phi1: float, phi2: float, x1: np.ndarray, x2: np.ndarray):
+    """(flipped, phi1, phi2, x1, x2) per element, swapped as in _payoffs_any_f."""
+    flipped = phi2 * x1 > phi1 * x2
+    return (
+        flipped,
+        np.where(flipped, phi2, phi1),
+        np.where(flipped, phi1, phi2),
+        np.where(flipped, x2, x1),
+        np.where(flipped, x1, x2),
+    )
+
+
+def _classify_vec(phi1, phi2, x1, x2) -> np.ndarray:
+    """_classify_f per element of oriented arrays; case 4 takes precedence."""
+    a, b = phi2 * x1, phi1 * x2
+    proportional = np.abs(a - b) <= PROPORTIONAL_RTOL * np.maximum(a, b)
+    case = np.where(1.0 - np.sqrt(phi1 * x1 * x2 / phi2) <= x2, 2, 3)
+    case[~proportional & (phi2 / phi1 <= x1 * x2)] = 1
+    case[proportional & (x1 + x2 >= 1.0)] = 4
+    return case
+
+
+def _split_vec(phi1, phi2, x1, x2, case: np.ndarray) -> np.ndarray:
+    """_split_f per element of oriented arrays."""
+    s1 = np.sqrt(phi1 * x1)
+    s2 = np.sqrt(phi2 * x2)
+    a = np.where(case == 2, np.sqrt(phi1 * x1 * x2 / phi2), s1 / (s1 + s2))
+    a[case == 1] = 1.0
+    return np.where(case == 4, x1 / (x1 + x2), a)
+
+
+def _labels_vec(phi1: float, phi2: float, x1: np.ndarray, x2: np.ndarray):
+    """(case, flipped) per element: _classify_f in the _payoffs_any_f orientation."""
+    flipped, *oriented = _orient_vec(phi1, phi2, x1, x2)
+    return _classify_vec(*oriented), flipped
+
+
+def _payoffs_vec(phi1: float, phi2: float, x1: np.ndarray, x2: np.ndarray):
+    """_payoffs_any_f per element: player payoffs (u1, u2) of unit-adversary games."""
+    flipped, p1, p2, y1, y2 = _orient_vec(phi1, phi2, x1, x2)
+    a = _split_vec(p1, p2, y1, y2, _classify_vec(p1, p2, y1, y2))
+    v1 = lotto_core.payoff_vec(y1, a, p1)
+    v2 = lotto_core.payoff_vec(y2, 1.0 - a, p2)
+    return np.where(flipped, v2, v1), np.where(flipped, v1, v2)
 
 
 def classify(g: GameParams) -> Case:

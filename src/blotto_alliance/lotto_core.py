@@ -35,7 +35,7 @@ class LottoInstance:
 
 
 def payoff(player_budget: float, adversary_budget: float, total_value: float) -> float:
-    """Player-side equilibrium payoff; scalar fast path used in hot loops."""
+    """Player-side equilibrium payoff; the scalar path for point queries and bisection steps."""
     if adversary_budget == 0.0:
         return total_value
     if player_budget <= adversary_budget:
@@ -49,8 +49,11 @@ def equilibrium_payoff(inst: LottoInstance) -> tuple[float, float]:
     return u, inst.total_value - u
 
 
-def payoff_vec(player_budget, adversary_budget, total_value: float) -> np.ndarray:
-    """Vectorized player payoff over numpy arrays of budgets (broadcasting)."""
+def payoff_vec(player_budget, adversary_budget, total_value: float | np.ndarray) -> np.ndarray:
+    """Vectorized player payoff; total_value broadcasts like the budgets.
+
+    Each element equals payoff() of the same arguments bit for bit.
+    """
     x = np.asarray(player_budget, dtype=float)
     xa = np.asarray(adversary_budget, dtype=float)
     safe_xa = np.where(xa > 0.0, xa, 1.0)

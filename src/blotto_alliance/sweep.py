@@ -12,10 +12,13 @@ the other side are marked out of frame and carry no analysis fields.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from blotto_alliance.adversary_response import Case, GameParams
 from blotto_alliance.transfer_engine import (
     _check_beta,
     _induced_payoffs,
+    _induced_payoffs_vec,
     _mutual_benefit_f,
     _tau_bounds,
     alliance_optimal,
@@ -131,12 +134,10 @@ def payoff_curves(
         raise ValueError(f"tau range must lie within (-{g.x2}, {g.x1})")
     u1_base, u2_base = _induced_payoffs(g, 0.0, beta)
     eps_lo, eps_hi = _tau_bounds(g.x1, g.x2)
-    rows = []
-    for i in range(steps):
-        tau = min(max(lo + (hi - lo) * i / (steps - 1), eps_lo), eps_hi)
-        u1, u2 = _induced_payoffs(g, tau, beta)
-        rows.append((tau, u1 - u1_base, u2 - u2_base, u1 + u2))
-    return rows
+    taus = np.minimum(np.maximum(lo + (hi - lo) * np.arange(steps) / (steps - 1), eps_lo), eps_hi)
+    u1, u2 = _induced_payoffs_vec(g, taus, beta)
+    columns = (taus, u1 - u1_base, u2 - u2_base, u1 + u2)
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 @dataclass(frozen=True)
@@ -180,22 +181,15 @@ def beta_sweep(
     u12_nom = u1_nom + u2_nom
 
     eps_lo, eps_hi = _tau_bounds(g.x1, g.x2)
-    taus = [eps_lo + (eps_hi - eps_lo) * i / (tau_steps - 1) for i in range(tau_steps)]
-    taus.append(0.0)
+    taus = np.append(eps_lo + (eps_hi - eps_lo) * np.arange(tau_steps) / (tau_steps - 1), 0.0)
 
     rows = []
     for i in range(steps):
         beta = lo + (hi - lo) * i / (steps - 1)
-        max_u1_mut = max_u2_mut = -math.inf
-        max_u1_any = max_u2_any = -math.inf
-        for tau in taus:
-            u1, u2 = _induced_payoffs(g, tau, beta)
-            max_u1_any = max(max_u1_any, u1)
-            max_u2_any = max(max_u2_any, u2)
-            if u2 >= u2_nom - 1e-12:
-                max_u1_mut = max(max_u1_mut, u1)
-            if u1 >= u1_nom - 1e-12:
-                max_u2_mut = max(max_u2_mut, u2)
+        # one beta row at a time keeps every temporary one tau grid long
+        u1, u2 = _induced_payoffs_vec(g, taus, beta)
+        max_u1_mut = float(np.max(u1, where=u2 >= u2_nom - 1e-12, initial=-math.inf))
+        max_u2_mut = float(np.max(u2, where=u1 >= u1_nom - 1e-12, initial=-math.inf))
         tau_dag, gain = alliance_optimal(g, beta)
         u1_dag, u2_dag = _induced_payoffs(g, tau_dag, beta)
         rows.append(
@@ -206,8 +200,8 @@ def beta_sweep(
                 u12_nominal=u12_nom,
                 max_u1_mutual=max_u1_mut,
                 max_u2_mutual=max_u2_mut,
-                max_u1_any=max_u1_any,
-                max_u2_any=max_u2_any,
+                max_u1_any=float(np.max(u1)),
+                max_u2_any=float(np.max(u2)),
                 max_u12=u12_nom + gain,
                 u1_at_alliance_opt=u1_dag,
                 u2_at_alliance_opt=u2_dag,

@@ -30,14 +30,18 @@ Closed forms implemented here:
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from blotto_alliance.adversary_response import (
     Case,
     GameParams,
     Orientation,
     PayoffProfile,
     _classify_f,
+    _labels_vec,
     _payoffs_any_f,
     _payoffs_f,
+    _payoffs_vec,
     normalize,
 )
 
@@ -124,6 +128,16 @@ def _induced_payoffs(g: GameParams, tau: float, beta: float) -> tuple[float, flo
     x1_bar, x2_bar = _induced_budgets(g.x1, g.x2, min(max(tau, lo), hi), beta)
     xa = g.adversary_budget
     return _payoffs_any_f(g.phi1, g.phi2, x1_bar / xa, x2_bar / xa)
+
+
+def _induced_payoffs_vec(g: GameParams, taus: np.ndarray, beta: float):
+    """_induced_payoffs over an array of transfers, equal element for element."""
+    lo, hi = _tau_bounds(g.x1, g.x2)
+    taus = np.minimum(np.maximum(taus, lo), hi)
+    x1_bar = np.where(taus > 0.0, g.x1 - taus, g.x1 + beta * -taus)
+    x2_bar = np.where(taus > 0.0, g.x2 + beta * taus, g.x2 - -taus)
+    xa = g.adversary_budget
+    return _payoffs_vec(g.phi1, g.phi2, x1_bar / xa, x2_bar / xa)
 
 
 def payoffs_at(g: GameParams, t: Transfer) -> PayoffProfile:
@@ -229,6 +243,23 @@ def _check_beta(beta: float) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _bisect(holds, lo: float, hi: float) -> float:
+    """Plain bisection: a midpoint where holds() is true becomes lo, else hi.
+
+    Returns the midpoint of the last bracket: one at most _TAU_ABS_TOL wide,
+    or the one left after _MAX_BISECT halvings.
+    """
+    for _ in range(_MAX_BISECT):
+        if hi - lo <= _TAU_ABS_TOL:
+            break
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
     if a == 0.0:
         return [-c / b] if b != 0.0 else []
@@ -290,6 +321,7 @@ def _march_alliance(phi1: float, phi2: float, x1: float, x2: float, beta: float)
         return x1 + beta * t, x2 - t
 
     def label(t: float) -> tuple[int, bool]:
+        # the scalar twin of _labels_vec, for the bisection steps
         u, v = budgets(t)
         if phi2 * u > phi1 * v:
             return _classify_f(phi2, phi1, v, u), True
@@ -308,33 +340,23 @@ def _march_alliance(phi1: float, phi2: float, x1: float, x2: float, beta: float)
         return beta * math.sqrt(phi1 * v / (phi2 * u)) - big_k
 
     t_top = -_tau_bounds(x1, x2)[0]
-    ts = {t_top * i / (_SCAN_POINTS - 1) for i in range(_SCAN_POINTS)}
+    seeds = np.array(_boundary_seeds(phi1, phi2, x1, x2, beta, t_top))
     nudge = 1e-7 * x2
-    for seed in _boundary_seeds(phi1, phi2, x1, x2, beta, t_top):
-        for t in (seed - nudge, seed, seed + nudge):
-            if 0.0 < t < t_top:
-                ts.add(t)
-    ts = sorted(ts)
-    labels = [label(t) for t in ts]
+    near = np.concatenate((seeds - nudge, seeds, seeds + nudge))
+    grid = t_top * np.arange(_SCAN_POINTS) / (_SCAN_POINTS - 1)
+    # repeated points carry equal labels, so sorting without deduplicating
+    # leaves the change points where they are
+    ts = np.sort(np.concatenate((grid, near[(0.0 < near) & (near < t_top)])))
+    cases, flipped = _labels_vec(phi1, phi2, x1 + beta * ts, x2 - ts)
+    codes = 2 * cases + flipped
 
     cuts = [0.0]
     seg_labels = []
-    current = labels[0]
-    for i in range(1, len(ts)):
-        if labels[i] != current:
-            lo, hi = ts[i - 1], ts[i]
-            for _ in range(_MAX_BISECT):
-                if hi - lo <= _TAU_ABS_TOL:
-                    break
-                mid = 0.5 * (lo + hi)
-                if label(mid) == current:
-                    lo = mid
-                else:
-                    hi = mid
-            seg_labels.append(current)
-            cuts.append(0.5 * (lo + hi))
-            current = labels[i]
-    seg_labels.append(current)
+    for i in np.flatnonzero(codes[1:] != codes[:-1]).tolist():
+        current = (int(cases[i]), bool(flipped[i]))
+        seg_labels.append(current)
+        cuts.append(_bisect(lambda t: label(t) == current, float(ts[i]), float(ts[i + 1])))
+    seg_labels.append((int(cases[-1]), bool(flipped[-1])))
     cuts.append(t_top)
 
     for k, (case, flipped) in enumerate(seg_labels):
@@ -347,16 +369,7 @@ def _march_alliance(phi1: float, phi2: float, x1: float, x2: float, beta: float)
         s_b = improving(t_b, case, flipped)
         if s_b > 0.0:
             continue
-        lo, hi = t_a, t_b
-        for _ in range(_MAX_BISECT):
-            if hi - lo <= _TAU_ABS_TOL:
-                break
-            mid = 0.5 * (lo + hi)
-            if improving(mid, case, flipped) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return _bisect(lambda t: improving(t, case, flipped) > 0.0, t_a, t_b)
 
     raise InternalInconsistencyError(
         "combined payoff still improving at the donation limit",
@@ -394,6 +407,17 @@ def alliance_optimal(g: GameParams, beta: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _mb_scan(phi1: float, phi2: float, x1: float, x2: float, beta: float):
+    """The donations _mb_interval_oriented scans and min(du1, du2) at each."""
+    lo_edge = _tau_bounds(x1, x2)[0]
+    n_linear = 2048
+    linear = lo_edge * (1.0 - np.arange(n_linear) / n_linear)  # ascending to ~0
+    taus = np.unique(np.concatenate((linear, np.ldexp(-x2, -np.arange(12, 46)))))
+    u1_base, u2_base = _payoffs_f(phi1, phi2, x1, x2)
+    u1, u2 = _induced_payoffs_vec(GameParams(phi1, phi2, x1, x2), taus, beta)
+    return taus, np.minimum(u1 - u1_base, u2 - u2_base)
+
+
 def _mb_interval_oriented(
     phi1: float, phi2: float, x1: float, x2: float, beta: float
 ) -> tuple[tuple[float, float] | None, bool]:
@@ -411,58 +435,26 @@ def _mb_interval_oriented(
         u1, u2 = _payoffs_any_f(phi1, phi2, u, v)
         return min(u1 - u1_base, u2 - u2_base)
 
-    lo_edge = _tau_bounds(x1, x2)[0]
-    n_linear = 2048
-    taus = [lo_edge * (1.0 - i / n_linear) for i in range(n_linear)]  # ascending to ~0
-    taus += [-x2 * 2.0**-k for k in range(12, 46)]
-    taus = sorted(set(taus))
-    gains = [both_gain(t) for t in taus]
-
-    runs: list[tuple[int, int]] = []
-    start = None
-    for i, gval in enumerate(gains):
-        if gval > 0.0 and start is None:
-            start = i
-        elif gval <= 0.0 and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(taus) - 1))
-
-    if not runs:
+    taus, gains = _mb_scan(phi1, phi2, x1, x2, beta)
+    # a run of gains > 0 starts at each even edge and ends before each odd one
+    edges = np.flatnonzero(np.diff((gains > 0.0).astype(np.int8), prepend=0, append=0))
+    if edges.size == 0:
         return None, True
 
-    anomaly = len(runs) > 1
-    first, last = runs[-1]  # the run nearest tau = 0
+    anomaly = edges.size > 2
+    first, last = int(edges[-2]), int(edges[-1]) - 1  # the run nearest tau = 0
+    taus = taus.tolist()
 
     if first == 0:
         tau_low = taus[0]
     else:
-        lo, hi = taus[first - 1], taus[first]
-        for _ in range(_MAX_BISECT):
-            if hi - lo <= _TAU_ABS_TOL:
-                break
-            mid = 0.5 * (lo + hi)
-            if both_gain(mid) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        tau_low = 0.5 * (lo + hi)
+        tau_low = _bisect(lambda t: not both_gain(t) > 0.0, taus[first - 1], taus[first])
 
     if last == len(taus) - 1:
         tau_high = 0.0
     else:
         anomaly = True
-        lo, hi = taus[last], taus[last + 1]
-        for _ in range(_MAX_BISECT):
-            if hi - lo <= _TAU_ABS_TOL:
-                break
-            mid = 0.5 * (lo + hi)
-            if both_gain(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        tau_high = 0.5 * (lo + hi)
+        tau_high = _bisect(lambda t: both_gain(t) > 0.0, taus[last], taus[last + 1])
 
     return (tau_low, tau_high), anomaly
 
@@ -529,11 +521,9 @@ def mutual_margin(g: GameParams, beta: float) -> float:
     gn, _ = normalize(g)
     u1_base, u2_base = _induced_payoffs(gn, 0.0, beta)
     lo, hi = _tau_bounds(gn.x1, gn.x2)
-    best = -math.inf
-    for i in range(_MARGIN_STEPS):
-        u1, u2 = _induced_payoffs(gn, lo + (hi - lo) * i / (_MARGIN_STEPS - 1), beta)
-        best = max(best, min(u1 - u1_base, u2 - u2_base))
-    return best
+    taus = lo + (hi - lo) * np.arange(_MARGIN_STEPS) / (_MARGIN_STEPS - 1)
+    u1, u2 = _induced_payoffs_vec(gn, taus, beta)
+    return float(np.max(np.minimum(u1 - u1_base, u2 - u2_base)))
 
 
 __all__ = [

@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blotto_alliance.adversary_response import (
     Case,
     GameParams,
     Orientation,
+    _classify_f,
+    _labels_vec,
+    _payoffs_any_f,
+    _payoffs_vec,
     classify,
     mirror,
     normalize,
@@ -17,6 +22,8 @@ from blotto_alliance.adversary_response import (
 )
 from blotto_alliance.lotto_core import payoff
 from support import CASE1_GAME, CASE3_GAME, CASE4_GAME, G1, random_oriented_game
+
+log_uniform = st.floats(min_value=math.log(1e-6), max_value=math.log(1e6)).map(math.exp)
 
 
 class TestNormalize:
@@ -198,3 +205,67 @@ class TestMirror:
         gn, orientation = normalize(m)
         assert gn == G1
         assert orientation.swapped
+
+
+def boundary_budgets(phi1, phi2, xs, pairs=()):
+    """Budget pairs on, and one ulp either side of, every case boundary in both frames.
+
+    For each x: the proportional ray x2 = x1*phi2/phi1 (case 4 when x1 + x2 >= 1),
+    the case 1/2 boundaries x1*x2 = phi2/phi1 and phi1/phi2, and the case 2/3
+    boundaries sqrt(phi1*x1*x2/phi2) = 1 - x2 and its mirror at y = x/(1+x) < 1.
+    """
+    r = phi2 / phi1
+    out = list(pairs)
+    for x in xs:
+        y = x / (1.0 + x)
+        out += [
+            (x, x * r),
+            (phi1 * x, phi2 * x),
+            (x, r / x),
+            (x, 1.0 / (r * x)),
+            ((1.0 - y) ** 2 * phi2 / (phi1 * y), y),
+            (y, (1.0 - y) ** 2 * phi1 / (phi2 * y)),
+        ]
+    x1, x2 = np.array(out, dtype=float).reshape(-1, 2).T
+    x1, x2 = np.tile(x1, 3), np.concatenate((x2, np.nextafter(x2, 0.0), np.nextafter(x2, np.inf)))
+    keep = (x1 > 0.0) & (x2 > 0.0) & np.isfinite(x1) & np.isfinite(x2)
+    return x1[keep], x2[keep]
+
+
+def march_label(phi1, phi2, u, v):
+    """The alliance march's label of one induced game: orient, then classify."""
+    if phi2 * u > phi1 * v:
+        return _classify_f(phi2, phi1, v, u), True
+    return _classify_f(phi1, phi2, u, v), False
+
+
+def assert_kernel_matches_scalar(phi1, phi2, x1, x2):
+    points = list(zip(x1.tolist(), x2.tolist()))
+    u1, u2 = _payoffs_vec(phi1, phi2, x1, x2)
+    expected = [_payoffs_any_f(phi1, phi2, a, b) for a, b in points]
+    np.testing.assert_array_equal(u1, [e[0] for e in expected])
+    np.testing.assert_array_equal(u2, [e[1] for e in expected])
+    cases, flipped = _labels_vec(phi1, phi2, x1, x2)
+    labels = [march_label(phi1, phi2, a, b) for a, b in points]
+    np.testing.assert_array_equal(cases, [c for c, _ in labels])
+    np.testing.assert_array_equal(flipped, [f for _, f in labels])
+    return set(zip(cases.tolist(), flipped.tolist()))
+
+
+class TestArrayKernel:
+    """_payoffs_vec and _labels_vec equal the scalar functions bit for bit."""
+
+    def test_boundaries_reach_every_label(self):
+        x1, x2 = boundary_budgets(1.0, 1.2, [0.05, 0.3, 0.7, 1.5, 4.0])
+        seen = assert_kernel_matches_scalar(1.0, 1.2, x1, x2)
+        assert seen >= {(c, f) for c in (1, 2, 3, 4) for f in (False, True)}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_uniform,
+        log_uniform,
+        st.lists(log_uniform, min_size=1, max_size=6),
+        st.lists(st.tuples(log_uniform, log_uniform), max_size=6),
+    )
+    def test_matches_scalar_over_wide_range(self, phi1, phi2, xs, pairs):
+        assert_kernel_matches_scalar(phi1, phi2, *boundary_budgets(phi1, phi2, xs, pairs))

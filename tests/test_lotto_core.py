@@ -1,5 +1,7 @@
 """Single-front Lotto payoff: worked examples and structural properties."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -83,6 +85,14 @@ class TestVectorized:
         got = payoff_vec(x, xa, 1.7)
         expected = np.array([payoff(a, b, 1.7) for a, b in zip(x, xa)])
         np.testing.assert_allclose(got, expected, rtol=0, atol=0)
+
+    def test_array_total_value_matches_scalar(self, rng):
+        x = rng.uniform(0.0, 5.0, size=300)
+        xa = rng.uniform(0.0, 5.0, size=300)
+        phi = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=300))
+        xa[::17] = 0.0
+        got = payoff_vec(x, xa, phi)
+        np.testing.assert_array_equal(got, [payoff(*args) for args in zip(x.tolist(), xa.tolist(), phi.tolist())])
 
     def test_broadcasts(self):
         x = np.array([[0.5], [2.0]])

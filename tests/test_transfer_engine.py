@@ -2,9 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from blotto_alliance.adversary_response import Case, GameParams, mirror
+from blotto_alliance import transfer_engine as te
+from blotto_alliance.adversary_response import (
+    Case,
+    GameParams,
+    _payoffs_any_f,
+    _payoffs_f,
+    mirror,
+    normalize,
+)
+from blotto_alliance.cli import DEFAULT_VERIFY_BETAS, FIXED_SEED_GAMES
 from blotto_alliance.transfer_engine import (
     InternalInconsistencyError,
     Transfer,
@@ -310,6 +320,50 @@ class TestAnalyze:
             if report.mb_exists:
                 assert report.alliance_tau != 0.0
             assert report.in_g_dagger == (report.alliance_tau == 0.0)
+
+
+def scalar_margin(g, beta):
+    """mutual_margin one point at a time."""
+    gn, _ = normalize(g)
+    u1_base, u2_base = te._induced_payoffs(gn, 0.0, beta)
+    lo, hi = te._tau_bounds(gn.x1, gn.x2)
+    best = -math.inf
+    for i in range(te._MARGIN_STEPS):
+        u1, u2 = te._induced_payoffs(gn, lo + (hi - lo) * i / (te._MARGIN_STEPS - 1), beta)
+        best = max(best, min(u1 - u1_base, u2 - u2_base))
+    return best
+
+
+def scalar_mb_scan(phi1, phi2, x1, x2, beta):
+    """The mutual-benefit interval's dense scan one point at a time."""
+    lo_edge = te._tau_bounds(x1, x2)[0]
+    taus = {lo_edge * (1.0 - i / 2048) for i in range(2048)} | {-x2 * 2.0**-k for k in range(12, 46)}
+    taus = sorted(taus)
+    u1_base, u2_base = _payoffs_f(phi1, phi2, x1, x2)
+    gains = []
+    for tau in taus:
+        u1, u2 = _payoffs_any_f(phi1, phi2, *te._induced_budgets(x1, x2, tau, beta))
+        gains.append(min(u1 - u1_base, u2 - u2_base))
+    return taus, gains
+
+
+class TestScansMatchScalar:
+    """The array scans equal their scalar statement bit for bit."""
+
+    @pytest.mark.parametrize("label", sorted(FIXED_SEED_GAMES))
+    def test_mutual_margin(self, label):
+        g = FIXED_SEED_GAMES[label]
+        for beta in DEFAULT_VERIFY_BETAS:
+            np.testing.assert_array_equal(te.mutual_margin(g, beta), scalar_margin(g, beta))
+
+    @pytest.mark.parametrize("label", sorted(FIXED_SEED_GAMES))
+    def test_mb_interval_scan(self, label):
+        gn, _ = normalize(FIXED_SEED_GAMES[label])
+        for beta in DEFAULT_VERIFY_BETAS:
+            taus, gains = te._mb_scan(gn.phi1, gn.phi2, gn.x1, gn.x2, beta)
+            expected_taus, expected_gains = scalar_mb_scan(gn.phi1, gn.phi2, gn.x1, gn.x2, beta)
+            np.testing.assert_array_equal(taus, expected_taus)
+            np.testing.assert_array_equal(gains, expected_gains)
 
 
 class TestKnownMarchFaults:
