@@ -476,7 +476,8 @@ def _map_interval(
 ) -> tuple[float, float]:
     lo, hi = interval
     if swapped:
-        return -hi * xa, -lo * xa
+        # 0.0 - x rather than -x, so a zero endpoint maps to 0.0 and not -0.0
+        return 0.0 - hi * xa, 0.0 - lo * xa
     return lo * xa, hi * xa
 
 

@@ -192,6 +192,11 @@ class TestMutualBenefitInterval:
             du1, du2 = delta_payoffs(G1, Transfer(tau=tau, beta=0.8))
             assert du1 > 0 and du2 > 0
 
+    def test_swapped_interval_starts_at_positive_zero(self):
+        lo, hi = mb_interval(mirror(G1), 0.9)
+        assert (lo, math.copysign(1.0, lo)) == (0.0, 1.0)
+        assert hi > 0.0
+
     def test_interval_negative_in_oriented_frame(self, rng):
         found = 0
         for _ in range(200):
