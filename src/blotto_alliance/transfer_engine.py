@@ -413,7 +413,7 @@ def _mb_scan(phi1: float, phi2: float, x1: float, x2: float, beta: float):
     n_linear = 2048
     linear = lo_edge * (1.0 - np.arange(n_linear) / n_linear)  # ascending to ~0
     taus = np.sort(np.concatenate((linear, np.ldexp(-x2, -np.arange(12, 46)))))
-    # np.unique's mask by hand: np.unique costs ~14 ms on its first call in a process
+    # np.unique's mask by hand: np.unique costs ~14 ms on its first call in a process (numpy 2.4)
     taus = taus[np.append(True, taus[1:] != taus[:-1])]
     u1_base, u2_base = _payoffs_f(phi1, phi2, x1, x2)
     u1, u2 = _induced_payoffs_vec(GameParams(phi1, phi2, x1, x2), taus, beta)

@@ -208,9 +208,9 @@ class TestMirror:
 
 
 def boundary_budgets(phi1, phi2, xs, pairs=()):
-    """Budget pairs on, and one ulp either side of, every case boundary in both frames.
+    """The pairs given, and budget pairs on and one ulp either side of every case boundary.
 
-    For each x: the proportional ray x2 = x1*phi2/phi1 (case 4 when x1 + x2 >= 1),
+    Boundaries in both frames, for each x: the proportional ray x2 = x1*phi2/phi1 (case 4 when x1 + x2 >= 1),
     the case 1/2 boundaries x1*x2 = phi2/phi1 and phi1/phi2, and the case 2/3
     boundaries sqrt(phi1*x1*x2/phi2) = 1 - x2 and its mirror at y = x/(1+x) < 1.
     """
