@@ -186,12 +186,6 @@ def _split_vec(phi1, phi2, x1, x2, case: np.ndarray) -> np.ndarray:
     return np.where(case == 4, x1 / (x1 + x2), a)
 
 
-def _labels_vec(phi1: float, phi2: float, x1: np.ndarray, x2: np.ndarray):
-    """(case, flipped) per element: _classify_f in the _payoffs_any_f orientation."""
-    flipped, *oriented = _orient_vec(phi1, phi2, x1, x2)
-    return _classify_vec(*oriented), flipped
-
-
 def _payoffs_vec(phi1: float, phi2: float, x1: np.ndarray, x2: np.ndarray):
     """_payoffs_any_f per element: player payoffs (u1, u2) of unit-adversary games."""
     flipped, p1, p2, y1, y2 = _orient_vec(phi1, phi2, x1, x2)

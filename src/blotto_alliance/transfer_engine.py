@@ -22,9 +22,12 @@ Closed forms implemented here:
     beta*phi1 - phi2 <= sqrt(phi1*phi2/(x1*x2)) * (x1 - beta*x2); case 1
     games never belong.
 
-  * the alliance-optimal transfer, found by marching the induced game
-    through its case regions and bisecting the stationarity condition of
-    the region where the combined payoff stops improving.
+  * the alliance-optimal transfer. Along the donation path the case
+    boundaries are roots of linear and quadratic polynomials in the
+    donation, and within each case region u1 + u2 is stationary where the
+    post-transfer budget ratio reaches a closed-form value; the march walks
+    the regions in order and stops at the first stationary point or
+    falling region edge.
 """
 
 import math
@@ -38,7 +41,6 @@ from blotto_alliance.adversary_response import (
     Orientation,
     PayoffProfile,
     _classify_f,
-    _labels_vec,
     _payoffs_any_f,
     _payoffs_f,
     _payoffs_vec,
@@ -51,12 +53,11 @@ from blotto_alliance.adversary_response import (
 _EDGE = 1e-12
 _TAU_ABS_TOL = 1e-9
 _MAX_BISECT = 200
-_SCAN_POINTS = 97
 _MARGIN_STEPS = 2001
 
 
 class InternalInconsistencyError(RuntimeError):
-    """A root bracket the theory guarantees could not be established."""
+    """A result the theory rules out, such as an alliance transfer that loses."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message if diagnostics is None else f"{message} ({diagnostics})")
@@ -243,23 +244,6 @@ def _check_beta(beta: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _bisect(holds, lo: float, hi: float) -> float:
-    """Plain bisection: a midpoint where holds() is true becomes lo, else hi.
-
-    Returns the midpoint of the last bracket: one at most _TAU_ABS_TOL wide,
-    or the one left after _MAX_BISECT halvings.
-    """
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= _TAU_ABS_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
     if a == 0.0:
         return [-c / b] if b != 0.0 else []
@@ -279,8 +263,9 @@ def _boundary_seeds(
     (either orientation) is a root of a linear or quadratic polynomial in t:
     the proportional ray phi2*u = phi1*v, the all-in boundaries u*v = phi2/phi1
     and u*v = phi1/phi2, and the two strong-to-weak switches
-    phi1*u*v/phi2 = (1-v)^2 and phi2*u*v/phi1 = (1-u)^2. The roots only seed
-    the scan; segment edges are still located by bisection.
+    phi1*u*v/phi2 = (1-v)^2 and phi2*u*v/phi1 = (1-u)^2. The roots inside
+    (0, t_top) are the march's segment edges; a root that is no boundary
+    only splits a segment in two.
     """
     seeds = [(x2 - (phi2 / phi1) * x1) / (1.0 + (phi2 / phi1) * beta)]
     for cap in (phi2 / phi1, phi1 / phi2):
@@ -306,75 +291,46 @@ def _boundary_seeds(
 def _march_alliance(phi1: float, phi2: float, x1: float, x2: float, beta: float) -> float:
     """Donation size t = -tau >= 0 maximizing u1 + u2 in the oriented frame.
 
-    Walks the induced game's case regions as player 2 donates, using the
-    sign of the combined payoff's derivative in each region; the derivative
-    changes sign exactly once per region, so plain bisection suffices. The
-    scan over case labels is seeded with the closed-form boundary candidates
-    so that regions narrower than the scan spacing are not missed.
+    The case boundaries of _boundary_seeds cut the donation path [0, t_top]
+    into segments of one (case, flipped) label each, read at the segment's
+    midpoint. Within a segment the derivative of u1 + u2 falls in t: it is
+    positive throughout unflipped case 1, negative throughout flipped case 1,
+    and in cases 2 and 3 it vanishes where u/v reaches a closed-form ratio r,
+    that is at t = (r*x2 - x1)/(beta + r). The march stops at the first
+    segment that does not improve all the way to its far end, or at a case 4
+    point; when the payoff still improves at t_top, it returns t_top.
     """
     big_k = x1 + beta * x2  # x1_bar + beta*x2_bar is invariant along donations
-    ratio = phi2 / phi1
-    sqrt_pp = math.sqrt(phi1 * phi2)
     lead = beta * phi1 - phi2
-
-    def budgets(t: float) -> tuple[float, float]:
-        return x1 + beta * t, x2 - t
+    w = (lead + math.sqrt(lead * lead + 4.0 * beta * phi1 * phi2)) / (2.0 * math.sqrt(phi1 * phi2))
+    stationary_ratio = {  # u/v at which d(u1 + u2)/dt = 0, by (case, flipped)
+        (2, False): big_k * big_k * phi1 / phi2,
+        (2, True): beta * beta * phi1 / (phi2 * big_k * big_k),
+        (3, False): w * w,
+        (3, True): w * w,
+    }
 
     def label(t: float) -> tuple[int, bool]:
-        # the scalar twin of _labels_vec, for the bisection steps
-        u, v = budgets(t)
+        u, v = x1 + beta * t, x2 - t
         if phi2 * u > phi1 * v:
             return _classify_f(phi2, phi1, v, u), True
         return _classify_f(phi1, phi2, u, v), False
 
-    def improving(t: float, case: int, flipped: bool) -> float:
-        # positive while donating more still raises u1 + u2
-        u, v = budgets(t)
-        if case == 1:
-            return 1.0 if not flipped else -1.0
-        if case == 3:
-            w = math.sqrt(u / v)
-            return lead - sqrt_pp * (w - beta / w)
-        if not flipped:
-            return big_k - math.sqrt(ratio * u / v)
-        return beta * math.sqrt(phi1 * v / (phi2 * u)) - big_k
-
     t_top = -_tau_bounds(x1, x2)[0]
-    seeds = np.array(_boundary_seeds(phi1, phi2, x1, x2, beta, t_top))
-    nudge = 1e-7 * x2
-    near = np.concatenate((seeds - nudge, seeds, seeds + nudge))
-    grid = t_top * np.arange(_SCAN_POINTS) / (_SCAN_POINTS - 1)
-    # repeated points carry equal labels, so sorting without deduplicating
-    # leaves the change points where they are
-    ts = np.sort(np.concatenate((grid, near[(0.0 < near) & (near < t_top)])))
-    cases, flipped = _labels_vec(phi1, phi2, x1 + beta * ts, x2 - ts)
-    codes = 2 * cases + flipped
-
-    cuts = [0.0]
-    seg_labels = []
-    for i in np.flatnonzero(codes[1:] != codes[:-1]).tolist():
-        current = (int(cases[i]), bool(flipped[i]))
-        seg_labels.append(current)
-        cuts.append(_bisect(lambda t: label(t) == current, float(ts[i]), float(ts[i + 1])))
-    seg_labels.append((int(cases[-1]), bool(flipped[-1])))
-    cuts.append(t_top)
-
-    for k, (case, flipped) in enumerate(seg_labels):
-        t_a, t_b = cuts[k], cuts[k + 1]
-        if case == 4:
+    cuts = [0.0, *sorted(_boundary_seeds(phi1, phi2, x1, x2, beta, t_top)), t_top]
+    for t_a, t_b in zip(cuts, cuts[1:]):
+        if label(t_a)[0] == 4:
             return t_a
-        s_a = improving(t_a, case, flipped)
-        if s_a <= 0.0:
-            return t_a
-        s_b = improving(t_b, case, flipped)
-        if s_b > 0.0:
+        case, flipped = label(0.5 * (t_a + t_b))
+        if case == 1 and not flipped:
             continue
-        return _bisect(lambda t: improving(t, case, flipped) > 0.0, t_a, t_b)
-
-    raise InternalInconsistencyError(
-        "combined payoff still improving at the donation limit",
-        {"phi1": phi1, "phi2": phi2, "x1": x1, "x2": x2, "beta": beta},
-    )
+        if case in (1, 4):
+            return t_a
+        r = stationary_ratio[case, flipped]
+        t = (r * x2 - x1) / (beta + r)
+        if t < t_b:
+            return max(t, t_a)  # t <= t_a: the payoff already falls from t_a
+    return t_top
 
 
 def alliance_optimal(g: GameParams, beta: float) -> tuple[float, float]:
@@ -405,6 +361,23 @@ def alliance_optimal(g: GameParams, beta: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Mutually beneficial transfer interval.
 # ---------------------------------------------------------------------------
+
+
+def _bisect(holds, lo: float, hi: float) -> float:
+    """Plain bisection: a midpoint where holds() is true becomes lo, else hi.
+
+    Returns the midpoint of the last bracket: one at most _TAU_ABS_TOL wide,
+    or the one left after _MAX_BISECT halvings.
+    """
+    for _ in range(_MAX_BISECT):
+        if hi - lo <= _TAU_ABS_TOL:
+            break
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _mb_scan(phi1: float, phi2: float, x1: float, x2: float, beta: float):

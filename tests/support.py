@@ -3,8 +3,12 @@
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from blotto_alliance.adversary_response import GameParams, _classify_f
+
+# Hypothesis draws of one positive parameter, log-uniform over twelve decades.
+log_uniform = st.floats(min_value=math.log(1e-6), max_value=math.log(1e6)).map(math.exp)
 
 # The running example used across the docs and figure tests: a case-2 game
 # with a sharp mutual-benefit threshold near beta = 0.51.

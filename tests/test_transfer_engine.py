@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from blotto_alliance import transfer_engine as te
 from blotto_alliance.adversary_response import (
@@ -16,7 +17,6 @@ from blotto_alliance.adversary_response import (
 )
 from blotto_alliance.cli import DEFAULT_VERIFY_BETAS, FIXED_SEED_GAMES
 from blotto_alliance.transfer_engine import (
-    InternalInconsistencyError,
     Transfer,
     alliance_beta_threshold,
     alliance_optimal,
@@ -30,7 +30,7 @@ from blotto_alliance.transfer_engine import (
     mb_interval,
     payoffs_at,
 )
-from support import CASE1_GAME, CASE3_GAME, CASE4_GAME, G1, random_oriented_game
+from support import CASE1_GAME, CASE3_GAME, CASE4_GAME, G1, log_uniform, random_oriented_game
 
 # exact optima for G1 derived from the case-4 crossing of the donation path:
 # the proportional point (x2 - r*x1) / (1 + r*beta) with r = phi2/phi1
@@ -371,28 +371,14 @@ class TestScansMatchScalar:
             np.testing.assert_array_equal(gains, expected_gains)
 
 
-class TestKnownMarchFaults:
-    """Two known faults of the alliance march on extreme budget ratios.
+class TestMarchExtremes:
+    """The alliance march on extreme budget ratios, where it once raised or stopped short."""
 
-    Both are pinned as strict expected failures, so a change that alters
-    either fault is reported, and a fix of the march turns them into passes.
-    """
-
-    @pytest.mark.xfail(
-        strict=True,
-        raises=InternalInconsistencyError,
-        reason="march raises 'combined payoff still improving at the donation limit'",
-    )
     def test_tiny_budgets_reach_an_optimum(self):
         g = GameParams(430.68339991383306, 2.595334120745248e-05, 1.2505347403904855e-06, 1.1153075458945495e-05)
         _, gain = alliance_optimal(g, 0.8522946148256045)
         assert gain > 0.0
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="march stops at tau 0.000201; tau 0.001 pays 6.6e-5 more",
-    )
     def test_extreme_ratio_is_not_beaten_by_a_larger_transfer(self):
         g = GameParams(
             8415.22266849264, 0.00014135579166912234, 40013.94656382554,
@@ -400,3 +386,15 @@ class TestKnownMarchFaults:
         )
         tau, _ = alliance_optimal(g, 0.8)
         assert alliance_payoff(g, Transfer(tau, 0.8)) >= alliance_payoff(g, Transfer(0.001, 0.8))
+
+    @settings(max_examples=100, deadline=None)
+    @given(log_uniform, log_uniform, log_uniform, log_uniform, log_uniform)
+    def test_no_grid_transfer_beats_the_alliance_optimum(self, phi1, phi2, x1, x2, xa):
+        g = GameParams(phi1, phi2, x1, x2, xa)
+        lo, hi = te._tau_bounds(x1, x2)
+        taus = lo + (hi - lo) * np.arange(2001) / 2000
+        for beta in DEFAULT_VERIFY_BETAS:
+            tau = analyze(g, beta).alliance_tau
+            best = alliance_payoff(g, Transfer(tau, beta))
+            u1, u2 = te._induced_payoffs_vec(g, taus, beta)
+            assert np.max(u1 + u2) - best <= 1e-9 * (phi1 + phi2)
