@@ -301,7 +301,6 @@ def cmd_analyze(args) -> int:
             "mb_interval_anomaly": analysis.mb_interval_anomaly,
         },
         "provenance": {
-            "tau_tolerance": transfer_engine._TAU_ABS_TOL,
             "proportional_rtol": PROPORTIONAL_RTOL,
             "transfer_domain_edge": transfer_engine._EDGE,
             "case4_split_convention": "proportional: x_a_i = x_i / (x1 + x2)",
@@ -421,6 +420,8 @@ def _resolve_seed(spec: str) -> tuple[np.random.Generator, GameParams | None]:
     except ValueError:
         digest = hashlib.sha256(spec.encode("utf-8")).digest()
         seed = int.from_bytes(digest[:8], "big")
+    if seed < 0:
+        raise CliError(f"an integer seed must be >= 0, got {seed}")
     return np.random.default_rng(seed), None
 
 
@@ -553,9 +554,9 @@ def cmd_verify(args) -> int:
             tau_step=args.tau_step if args.tau_step is not None else 1e-4,
             split_step=args.split_step if args.split_step is not None else 1e-3,
         )
+        report = run_verify(trials, seed_spec, betas, cfg)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    report = run_verify(trials, seed_spec, betas, cfg)
     print(_dumps(report))
     return 0 if report["summary"]["disagreements"] == 0 else 1
 

@@ -35,7 +35,7 @@ class LottoInstance:
 
 
 def payoff(player_budget: float, adversary_budget: float, total_value: float) -> float:
-    """Player-side equilibrium payoff; the scalar path for point queries and bisection steps."""
+    """Player-side equilibrium payoff; the scalar path for point queries."""
     if adversary_budget == 0.0:
         return total_value
     if player_budget <= adversary_budget:

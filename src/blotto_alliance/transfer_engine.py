@@ -28,6 +28,16 @@ Closed forms implemented here:
     post-transfer budget ratio reaches a closed-form value; the march walks
     the regions in order and stops at the first stationary point or
     falling region edge.
+
+  * the mutual-benefit interval. With p, q a player's own and the other's
+    budget (linear in the donation) and d = 1 - U/phi, its payoff meets the
+    no-transfer value U where phi*p = 2U or 2dp = 1 (case 1, front 1),
+    phi*phi_o*p = 4U^2*q (case 2, front 1), 2d(p + q) = 1 (case 4), or
+    k*p*q = (a + b*p)^2 with (k, a, b) = (phi_o/phi, 1, -2d) (case 2,
+    front 2), (4d^2*phi_o/phi, 1, -2d) (case 3, strong on front 1) or
+    (phi*phi_o, 2U, -phi) (case 3, weak). Between these roots, the case
+    boundaries and the proportional band's edges, min(du1, du2) keeps its
+    sign; the interval is the first improving run.
 """
 
 import math
@@ -36,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from blotto_alliance.adversary_response import (
+    PROPORTIONAL_RTOL,
     Case,
     GameParams,
     Orientation,
@@ -51,8 +62,6 @@ from blotto_alliance.adversary_response import (
 # payoff evaluation: absolute for budgets below 1, relative above (see
 # _tau_bounds); the boundaries themselves are excluded.
 _EDGE = 1e-12
-_TAU_ABS_TOL = 1e-9
-_MAX_BISECT = 200
 _MARGIN_STEPS = 2001
 
 
@@ -363,34 +372,31 @@ def alliance_optimal(g: GameParams, beta: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _bisect(holds, lo: float, hi: float) -> float:
-    """Plain bisection: a midpoint where holds() is true becomes lo, else hi.
+def _crossing_equations(phi, phi_o, u0, p0, p1, q0, q1) -> list[tuple[int, float, float, float]]:
+    """(case, a, b, c): a*t^2 + b*t + c = 0 wherever a payoff formula of the case equals u0.
 
-    Returns the midpoint of the last bracket: one at most _TAU_ABS_TOL wide,
-    or the one left after _MAX_BISECT halvings.
+    The player's budget is p = p0 + p1*t and its valuation phi, the other's
+    q = q0 + q1*t and phi_o. A case lists its formulas for either front,
+    weak and strong (case 1's front 2 keeps phi and never crosses); roots of
+    a formula not in force, or added by squaring, only split a segment.
     """
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= _TAU_ABS_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _mb_scan(phi1: float, phi2: float, x1: float, x2: float, beta: float):
-    """The donations _mb_interval_oriented scans and min(du1, du2) at each."""
-    lo_edge = _tau_bounds(x1, x2)[0]
-    n_linear = 2048
-    linear = lo_edge * (1.0 - np.arange(n_linear) / n_linear)  # ascending to ~0
-    taus = np.sort(np.concatenate((linear, np.ldexp(-x2, -np.arange(12, 46)))))
-    # np.unique's mask by hand: np.unique costs ~14 ms on its first call in a process (numpy 2.4)
-    taus = taus[np.append(True, taus[1:] != taus[:-1])]
-    u1_base, u2_base = _payoffs_f(phi1, phi2, x1, x2)
-    u1, u2 = _induced_payoffs_vec(GameParams(phi1, phi2, x1, x2), taus, beta)
-    return taus, np.minimum(u1 - u1_base, u2 - u2_base)
+    d = 1.0 - u0 / phi
+    lines = [  # alpha*p + gamma*q + delta = 0
+        (1, phi, 0.0, -2.0 * u0),  # front 1, weak: phi*p/2 = u0
+        (1, 2.0 * d, 0.0, -1.0),  # front 1, strong: phi*(1 - 1/(2p)) = u0
+        (2, phi * phi_o, -4.0 * u0 * u0, 0.0),  # front 1: sqrt(phi*phi_o*p/q)/2 = u0
+        (4, 2.0 * d, 2.0 * d, -1.0),  # either front: phi*(1 - 1/(2(p + q))) = u0
+    ]
+    squares = [  # k*p*q = (a + b*p)^2
+        (2, phi_o / phi, 1.0, -2.0 * d),  # front 2
+        (3, 4.0 * d * d * phi_o / phi, 1.0, -2.0 * d),  # front 1, strong
+        (3, phi * phi_o, 2.0 * u0, -phi),  # either front, weak
+    ]
+    out = [(case, 0.0, al * p1 + ga * q1, al * p0 + ga * q0 + de) for case, al, ga, de in lines]
+    for case, k, a, b in squares:
+        a0, a1 = a + b * p0, b * p1
+        out.append((case, k * p1 * q1 - a1 * a1, k * (p0 * q1 + p1 * q0) - 2.0 * a0 * a1, k * p0 * q0 - a0 * a0))
+    return out
 
 
 def _mb_interval_oriented(
@@ -399,39 +405,42 @@ def _mb_interval_oriented(
     """Maximal interval of donations improving both players, adjacent to 0.
 
     Returns ((tau_low, tau_high), anomaly) in the oriented frame with
-    tau_low < tau_high <= 0, or (None, anomaly) when no improving transfer
-    was located. The anomaly flag marks disconnected improving sets, which
-    the theory rules out but the scan observes rather than assumes.
+    tau_low < tau_high <= 0, or (None, True) when no donation improves both.
+    The anomaly flag marks an improving set apart from 0 or in pieces.
     """
     u1_base, u2_base = _payoffs_f(phi1, phi2, x1, x2)
+    equations = _crossing_equations(phi1, phi2, u1_base, x1, beta, x2, -1.0)
+    equations += _crossing_equations(phi2, phi1, u2_base, x2, -1.0, x1, beta)
+    t_top = -_tau_bounds(x1, x2)[0]
+    edges = _boundary_seeds(phi1, phi2, x1, x2, beta, t_top)
+    for s1, s2 in ((1.0, 1.0 - PROPORTIONAL_RTOL), (1.0 - PROPORTIONAL_RTOL, 1.0)):
+        t = (s1 * phi1 * x2 - s2 * phi2 * x1) / (s2 * phi2 * beta + s1 * phi1)  # s2*phi2*u = s1*phi1*v
+        edges += [t] if 0.0 < t < t_top else []
+    edges = [0.0, *sorted(edges), t_top]
+    cuts = edges.copy()
+    for t_a, t_b in zip(edges, edges[1:]):
+        u, v = _induced_budgets(x1, x2, -0.5 * (t_a + t_b), beta)
+        case = _classify_f(*((phi2, phi1, v, u) if phi2 * u > phi1 * v else (phi1, phi2, u, v)))
+        for eq_case, a, b, c in equations:
+            if eq_case == case:
+                # the first segment's formulas meet u0 exactly at t = 0: drop c's rounding
+                cuts += [t for t in _quadratic_roots(a, b, c if t_a > 0.0 else 0.0) if t_a < t < t_b]
+    cuts.sort()
 
-    def both_gain(tau: float) -> float:
-        u, v = _induced_budgets(x1, x2, tau, beta)
-        u1, u2 = _payoffs_any_f(phi1, phi2, u, v)
-        return min(u1 - u1_base, u2 - u2_base)
-
-    taus, gains = _mb_scan(phi1, phi2, x1, x2, beta)
-    # a run of gains > 0 starts at each even edge and ends before each odd one
-    edges = np.flatnonzero(np.diff((gains > 0.0).astype(np.int8), prepend=0, append=0))
-    if edges.size == 0:
+    runs: list[list[float]] = []
+    for t_a, t_b in zip(cuts, cuts[1:]):
+        u1, u2 = _payoffs_any_f(phi1, phi2, *_induced_budgets(x1, x2, -0.5 * (t_a + t_b), beta))
+        # no gain is 0 between cuts, so one that reads 0 is below rounding: no loss
+        if t_a < t_b and u1 >= u1_base and u2 >= u2_base:
+            if runs and runs[-1][1] == t_a:
+                runs[-1][1] = t_b
+            else:
+                runs.append([t_a, t_b])
+    if not runs:
         return None, True
-
-    anomaly = edges.size > 2
-    first, last = int(edges[-2]), int(edges[-1]) - 1  # the run nearest tau = 0
-    taus = taus.tolist()
-
-    if first == 0:
-        tau_low = taus[0]
-    else:
-        tau_low = _bisect(lambda t: not both_gain(t) > 0.0, taus[first - 1], taus[first])
-
-    if last == len(taus) - 1:
-        tau_high = 0.0
-    else:
-        anomaly = True
-        tau_high = _bisect(lambda t: both_gain(t) > 0.0, taus[last], taus[last + 1])
-
-    return (tau_low, tau_high), anomaly
+    t_low, t_high = runs[0]
+    # 0.0 - t rather than -t, so a run from t = 0 ends at tau 0.0 and not -0.0
+    return (-t_high, 0.0 - t_low), len(runs) > 1 or t_low > 0.0
 
 
 def mb_interval(g: GameParams, beta: float) -> tuple[float, float] | None:
@@ -440,15 +449,14 @@ def mb_interval(g: GameParams, beta: float) -> tuple[float, float] | None:
     phi1, phi2, x1, x2, swapped = _oriented_floats(g)
     if not _mutual_benefit_f(phi1, phi2, x1, x2, beta)[2]:
         return None
-    interval, _ = _mb_interval_oriented(phi1, phi2, x1, x2, beta)
-    if interval is None:
-        return None
-    return _map_interval(interval, swapped, g.adversary_budget)
+    return _map_interval(_mb_interval_oriented(phi1, phi2, x1, x2, beta)[0], swapped, g.adversary_budget)
 
 
 def _map_interval(
-    interval: tuple[float, float], swapped: bool, xa: float
-) -> tuple[float, float]:
+    interval: tuple[float, float] | None, swapped: bool, xa: float
+) -> tuple[float, float] | None:
+    if interval is None:
+        return None
     lo, hi = interval
     if swapped:
         # 0.0 - x rather than -x, so a zero endpoint maps to 0.0 and not -0.0
@@ -463,20 +471,11 @@ def analyze(g: GameParams, beta: float) -> TransferAnalysis:
     phi1, phi2, x1, x2 = gn.phi1, gn.phi2, gn.x1, gn.x2
     case, threshold, exists = _mutual_benefit_f(phi1, phi2, x1, x2, beta)
 
-    interval_raw = None
-    anomaly = False
-    if exists:
-        interval, anomaly = _mb_interval_oriented(phi1, phi2, x1, x2, beta)
-        if interval is not None:
-            interval_raw = _map_interval(interval, orientation.swapped, g.adversary_budget)
-        else:
-            anomaly = True
-
+    interval, anomaly = _mb_interval_oriented(phi1, phi2, x1, x2, beta) if exists else (None, False)
     alliance_tau, gain = alliance_optimal(g, beta)
-
     return TransferAnalysis(
         mb_exists=exists,
-        mb_interval=interval_raw,
+        mb_interval=_map_interval(interval, orientation.swapped, g.adversary_budget),
         mb_beta_threshold=threshold,
         alliance_tau=alliance_tau,
         alliance_payoff_gain=gain,

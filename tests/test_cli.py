@@ -19,14 +19,19 @@ G1_SWAPPED_FLAGS = ["--phi1", "1.2", "--phi2", "1", "--x1", "1.5", "--x2", "0.5"
 # bytes: a change that moves a digit here must name it and say why. The
 # closed-form alliance march moved alliance_tau, tau_dagger and the beta
 # sweep's alliance columns by up to 2.6e-9 in analyze, region and beta-sweep.
+# The closed-form mutual-benefit interval moved the lower endpoint of
+# analyze's mb_interval to the exact edge of the proportional band, from
+# -0.45918367279181904 to -0.4591836729383591 (xa = 1) and from
+# -1.3775510183754571 to -1.3775510188150772 (xa = 3), where bisection had
+# stopped; provenance lost its tau_tolerance line.
 GOLDEN_STDOUT = {
     "analyze-json": (
         ["analyze", *G1_FLAGS, "--beta", "0.8", "--json"],
-        "d34f221ddb97d75c8d61c8355e248fdf23436befde05a84da5d590d98b33931b",
+        "b32145d4cb113134784413e50cb0da10c6a39bf1a181dc0d22745964b6527cf8",
     ),
     "analyze-json-xa": (
         ["analyze", *G1_XA_FLAGS, "--beta", "0.8", "--json"],
-        "f4e710d29d0a3005354fe552a25cd5c86d60127e995a51c4e654eee301ba055e",
+        "89dc3dd44649250b9f23ed6f03937e3c9bef1ebf77726a92482d552e7b782d26",
     ),
     # the interval's lower endpoint prints as 0.000000, no longer -0.000000
     "analyze-text-swapped": (
@@ -330,6 +335,20 @@ class TestVerify:
         assert code == 0
         _, second, _ = run_cli(capsys, *flags)
         assert first == second
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--trials", "1", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "seed must be >= 0" in err
+
+    def test_tau_step_above_a_budget_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--trials", "2", "--seed", "3", "--tau-step", "4"
+        )
+        assert code == 2
+        assert out == ""
+        assert "tau_step must be smaller than both player budgets" in err
 
     def test_disagreement_exits_1_and_reports_game(self, capsys, monkeypatch):
         import dataclasses
