@@ -10,6 +10,7 @@ round-trips doubles losslessly. Diagnostics go to stderr; exit codes are
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -23,10 +24,9 @@ from blotto_alliance.adversary_response import (
     GameParams,
     PROPORTIONAL_RTOL,
     normalize,
-    optimal_split,
     stage_payoffs,
 )
-from blotto_alliance.oracle import ClosedFormSummary, OracleConfig
+from blotto_alliance.oracle import ClosedFormSummary, Disagreement, OracleConfig
 from blotto_alliance.transfer_engine import Transfer
 
 SCHEMA_VERSION = "1"
@@ -454,9 +454,7 @@ def closed_form_summary(g: GameParams, beta: float) -> ClosedFormSummary:
     alliance_value = transfer_engine.alliance_payoff(
         g, Transfer(tau=analysis.alliance_tau, beta=beta)
     )
-    gn, _ = normalize(g)
-    profile = stage_payoffs(gn)
-    split = optimal_split(gn)
+    profile = stage_payoffs(normalize(g)[0])
     return ClosedFormSummary(
         mb_exists=analysis.mb_exists,
         mb_margin=margin,
@@ -467,7 +465,6 @@ def closed_form_summary(g: GameParams, beta: float) -> ClosedFormSummary:
         alliance_value=alliance_value,
         alliance_beta_threshold=transfer_engine.alliance_beta_threshold(g),
         adversary_payoff_at_zero=profile.u_adversary,
-        x_a1_at_zero=split.x_a1,
     )
 
 
@@ -487,24 +484,14 @@ def run_verify(
         for beta in betas:
             closed = closed_form_summary(g, beta)
             report = oracle.transfer_grid_scan(g, beta, cfg, closed)
-            issues = [
-                {
-                    "quantity": d.quantity,
-                    "closed_value": d.closed_value,
-                    "grid_value": d.grid_value,
-                    "slack": d.slack,
-                }
-                for d in report.disagreements
-            ]
+            issues = list(report.disagreements)
+            # audited games are oriented, so mutual benefit at tau > 0 is a fault
             if report.positive_tau_mutual:
                 n_positive_mutual += 1
                 issues.append(
-                    {
-                        "quantity": "positive_tau_mutual",
-                        "closed_value": 0.0,
-                        "grid_value": report.mutual_margin,
-                        "slack": report.slack_mutual,
-                    }
+                    Disagreement(
+                        "positive_tau_mutual", 0.0, report.mutual_margin, report.slack_mutual
+                    )
                 )
             n_disagreements += len(issues)
             if issues:
@@ -515,7 +502,7 @@ def run_verify(
                         "beta": beta,
                         "mb_exists_closed": closed.mb_exists,
                         "mb_exists_grid": report.mb_exists_grid,
-                        "disagreements": issues,
+                        "disagreements": [dataclasses.asdict(d) for d in issues],
                     }
                 )
     return {
@@ -527,7 +514,7 @@ def run_verify(
             "beta_list": list(betas),
             "tau_step": cfg.tau_step,
             "split_step": cfg.split_step,
-            "tolerance": cfg.tolerance,
+            "tolerance": oracle.TOLERANCE,
             "threshold_band": oracle.THRESHOLD_BAND,
         },
         "summary": {

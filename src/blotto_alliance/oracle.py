@@ -23,7 +23,11 @@ two can pick different splits among ties equal to rounding.
 
 Slack is estimated by finite differences: the variation of each payoff over
 one split step at the chosen split, and the variation of the relevant
-quantity over one tau step near its argmax.
+quantity over one tau step near its argmax, plus the TOLERANCE floor.
+
+transfer_grid_scan builds one OracleReport. _compare reads its verdicts and
+slacks, and appends to it one Disagreement (quantity, closed_value,
+grid_value, slack) per closed-form quantity the grid cannot reconcile.
 """
 
 import math
@@ -38,15 +42,17 @@ from blotto_alliance.adversary_response import GameParams
 # grid resolution cannot distinguish the two verdicts.
 THRESHOLD_BAND = 1e-3
 
+# Floor added to every slack, so that no verdict turns on rounding alone.
+TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class OracleConfig:
     tau_step: float = 1e-4
     split_step: float = 1e-3
-    tolerance: float = 1e-9
 
     def __post_init__(self):
-        for name in ("tau_step", "split_step", "tolerance"):
+        for name in ("tau_step", "split_step"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be strictly positive")
 
@@ -64,7 +70,6 @@ class ClosedFormSummary:
     alliance_value: float
     alliance_beta_threshold: float | None
     adversary_payoff_at_zero: float
-    x_a1_at_zero: float
 
 
 @dataclass(frozen=True)
@@ -214,7 +219,7 @@ def _tau_grid(
 def transfer_grid_scan(
     g: GameParams,
     beta: float,
-    cfg: OracleConfig | None = None,
+    cfg: OracleConfig,
     closed: ClosedFormSummary | None = None,
 ) -> OracleReport:
     """Scan every transfer on the tau grid and score it by the grid best response.
@@ -224,7 +229,6 @@ def transfer_grid_scan(
     closed-form value cannot be reconciled with the grid within slack;
     comparisons inside a declared beta threshold band are skipped.
     """
-    cfg = cfg or OracleConfig()
     taus, x1b, x2b, i0 = _tau_grid(g, beta, cfg)
     pos = taus > 0.0
 
@@ -239,114 +243,71 @@ def transfer_grid_scan(
     margin = np.minimum(du1, du2)
     margin_conf = margin - (row_slack + row_slack[i0])
 
-    raw_mutual = bool((margin > 0.0).any())
     confident_mask = margin_conf > 0.0
     mutual_confident = bool(confident_mask.any())
     best_mutual_tau = None
     if mutual_confident:
         masked = np.where(confident_mask, margin, -np.inf)
         best_mutual_tau = float(taus[int(np.argmax(masked))])
-    mutual_margin = float(margin.max())
-    positive_mutual = bool((margin_conf[pos] > 0.0).any()) if pos.any() else False
 
     alliance = u1 + u2
     i_star = int(np.argmax(alliance))
     alliance_max = float(alliance[i_star])
-    alliance_gain_grid = alliance_max - float(alliance[i0])
 
     # local tau-direction variation of the alliance payoff near its argmax
     lo = max(i_star - 5, 0)
     hi = min(i_star + 6, alliance.size)
     window = alliance[lo:hi]
     l_tau = float(np.abs(np.diff(window)).max()) if window.size > 1 else 0.0
-    slack_alliance = float(
-        row_slack[i_star] + row_slack[i0] + l_tau + cfg.tolerance
-    )
-    slack_mutual = float(2.0 * row_slack.max() + cfg.tolerance)
 
-    disagreements: list[Disagreement] = []
-    if closed is not None:
-        _compare(
-            closed,
-            beta,
-            disagreements,
-            mutual_margin=mutual_margin,
-            mutual_confident=mutual_confident,
-            slack_mutual=slack_mutual,
-            alliance_max=alliance_max,
-            alliance_gain_grid=alliance_gain_grid,
-            slack_alliance=slack_alliance,
-            w_grid=g.phi1 + g.phi2 - float(u1[i0] + u2[i0]),
-            w_slack=float(row_slack[i0]) + cfg.tolerance,
-        )
-
-    return OracleReport(
+    report = OracleReport(
         mb_exists_grid=mutual_confident,
         best_mutual_tau=best_mutual_tau,
         alliance_argmax_tau=float(taus[i_star]),
         alliance_max=alliance_max,
-        disagreements=disagreements,
-        mb_exists_grid_raw=raw_mutual,
-        mutual_margin=mutual_margin,
-        positive_tau_mutual=positive_mutual,
-        alliance_gain_grid=alliance_gain_grid,
+        mb_exists_grid_raw=bool((margin > 0.0).any()),
+        mutual_margin=float(margin.max()),
+        positive_tau_mutual=bool((margin_conf[pos] > 0.0).any()) if pos.any() else False,
+        alliance_gain_grid=alliance_max - float(alliance[i0]),
         tau_count=int(taus.size),
-        slack_mutual=slack_mutual,
-        slack_alliance=slack_alliance,
+        slack_mutual=float(2.0 * row_slack.max() + TOLERANCE),
+        slack_alliance=float(row_slack[i_star] + row_slack[i0] + l_tau + TOLERANCE),
     )
+    if closed is not None:
+        w_grid = g.phi1 + g.phi2 - float(u1[i0] + u2[i0])
+        _compare(closed, beta, report, w_grid, float(row_slack[i0]) + TOLERANCE)
+    return report
 
 
 def _compare(
-    closed: ClosedFormSummary,
-    beta: float,
-    out: list[Disagreement],
-    *,
-    mutual_margin: float,
-    mutual_confident: bool,
-    slack_mutual: float,
-    alliance_max: float,
-    alliance_gain_grid: float,
-    slack_alliance: float,
-    w_grid: float,
-    w_slack: float,
+    closed: ClosedFormSummary, beta: float, report: OracleReport, w_grid: float, w_slack: float
 ) -> None:
+    out = report.disagreements
     in_mb_band = closed.case_at_zero in (2, 3) and abs(beta - closed.mb_threshold) < THRESHOLD_BAND
     if not in_mb_band:
-        if closed.mb_exists and closed.mb_margin > slack_mutual and mutual_margin <= 0.0:
-            out.append(
-                Disagreement("mb_exists", closed.mb_margin, mutual_margin, slack_mutual)
-            )
-        elif not closed.mb_exists and mutual_confident:
-            out.append(Disagreement("mb_exists", 0.0, mutual_margin, slack_mutual))
+        margin, slack = report.mutual_margin, report.slack_mutual
+        if closed.mb_exists and closed.mb_margin > slack and margin <= 0.0:
+            out.append(Disagreement("mb_exists", closed.mb_margin, margin, slack))
+        elif not closed.mb_exists and report.mb_exists_grid:
+            out.append(Disagreement("mb_exists", 0.0, margin, slack))
 
     in_alliance_band = (
         closed.alliance_beta_threshold is not None
         and abs(beta - closed.alliance_beta_threshold) < THRESHOLD_BAND
     )
     if not in_alliance_band:
+        gain, slack = report.alliance_gain_grid, report.slack_alliance
         closed_nonzero = closed.tau_dagger != 0.0
-        grid_nonzero = alliance_gain_grid > slack_alliance
-        if closed_nonzero and closed.alliance_gain > slack_alliance and not grid_nonzero:
-            out.append(
-                Disagreement(
-                    "alliance_nonzero", closed.alliance_gain, alliance_gain_grid, slack_alliance
-                )
-            )
+        grid_nonzero = gain > slack
+        if closed_nonzero and closed.alliance_gain > slack and not grid_nonzero:
+            out.append(Disagreement("alliance_nonzero", closed.alliance_gain, gain, slack))
         elif not closed_nonzero and grid_nonzero:
-            out.append(
-                Disagreement("alliance_nonzero", 0.0, alliance_gain_grid, slack_alliance)
-            )
-        if abs(alliance_max - closed.alliance_value) > slack_alliance:
-            out.append(
-                Disagreement(
-                    "alliance_value", closed.alliance_value, alliance_max, slack_alliance
-                )
-            )
+            out.append(Disagreement("alliance_nonzero", 0.0, gain, slack))
+        if abs(report.alliance_max - closed.alliance_value) > slack:
+            out.append(Disagreement("alliance_value", closed.alliance_value, report.alliance_max, slack))
 
     if abs(w_grid - closed.adversary_payoff_at_zero) > w_slack:
-        out.append(
-            Disagreement("adversary_split", closed.adversary_payoff_at_zero, w_grid, w_slack)
-        )
+        out.append(Disagreement("adversary_split", closed.adversary_payoff_at_zero, w_grid, w_slack))
 
 
 __all__ = [
@@ -355,6 +316,7 @@ __all__ = [
     "OracleConfig",
     "OracleReport",
     "THRESHOLD_BAND",
+    "TOLERANCE",
     "adversary_grid_best_response",
     "transfer_grid_scan",
 ]

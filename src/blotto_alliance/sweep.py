@@ -25,6 +25,9 @@ from blotto_alliance.transfer_engine import (
     mb_exists,
 )
 
+# Points of the beta sweep's transfer grid across the whole domain (-x2, x1).
+_SWEEP_TAU_POINTS = 2001
+
 
 @dataclass(frozen=True)
 class Axis:
@@ -161,7 +164,6 @@ def beta_sweep(
     g: GameParams,
     beta_range: tuple[float, float],
     steps: int,
-    tau_steps: int = 2001,
 ) -> list[BetaSweepRow]:
     """Attainable payoff maxima per efficiency value.
 
@@ -181,7 +183,9 @@ def beta_sweep(
     u12_nom = u1_nom + u2_nom
 
     eps_lo, eps_hi = _tau_bounds(g.x1, g.x2)
-    taus = np.append(eps_lo + (eps_hi - eps_lo) * np.arange(tau_steps) / (tau_steps - 1), 0.0)
+    taus = np.append(
+        eps_lo + (eps_hi - eps_lo) * np.arange(_SWEEP_TAU_POINTS) / (_SWEEP_TAU_POINTS - 1), 0.0
+    )
 
     rows = []
     for i in range(steps):

@@ -19,8 +19,8 @@ Closed forms implemented here:
   * the zero-transfer-optimal set: games where no transfer can raise the
     combined payoff u1 + u2. Case 4 games always belong; case 2 games belong
     iff x1 + beta*x2 <= sqrt(phi2*x1/(phi1*x2)); case 3 games belong iff
-    beta*phi1 - phi2 <= sqrt(phi1*phi2/(x1*x2)) * (x1 - beta*x2); case 1
-    games never belong.
+    beta*phi1 - phi2 <= sqrt(phi1*phi2/(x1*x2)) * (x1 - beta*x2), both
+    decided as beta <= alliance_beta_threshold; case 1 games never belong.
 
   * the alliance-optimal transfer. Along the donation path the case
     boundaries are roots of linear and quadratic polynomials in the
@@ -215,15 +215,24 @@ def in_g_dagger(g: GameParams, beta: float) -> bool:
     return _in_g_dagger_f(phi1, phi2, x1, x2, beta)
 
 
+def _alliance_threshold_f(
+    phi1: float, phi2: float, x1: float, x2: float, case: int
+) -> float | None:
+    """Zero transfer is alliance-optimal iff beta <= this (cases 2, 3); None in cases 1, 4."""
+    if case in (1, 4):
+        return None
+    if case == 2:
+        return (math.sqrt(phi2 * x1 / (phi1 * x2)) - x1) / x2
+    c = math.sqrt(phi1 * phi2 / (x1 * x2))
+    return (phi2 + c * x1) / (phi1 + c * x2)
+
+
 def _in_g_dagger_f(phi1: float, phi2: float, x1: float, x2: float, beta: float) -> bool:
     case = _classify_f(phi1, phi2, x1, x2)
-    if case == 4:
-        return True
-    if case == 1:
-        return False
-    if case == 2:
-        return x1 + beta * x2 <= math.sqrt(phi2 * x1 / (phi1 * x2))
-    return beta * phi1 - phi2 <= math.sqrt(phi1 * phi2 / (x1 * x2)) * (x1 - beta * x2)
+    threshold = _alliance_threshold_f(phi1, phi2, x1, x2, case)
+    if threshold is None:
+        return case == 4
+    return beta <= threshold
 
 
 def alliance_beta_threshold(g: GameParams) -> float | None:
@@ -234,13 +243,7 @@ def alliance_beta_threshold(g: GameParams) -> float | None:
     the zero-transfer-optimal set, and may fall outside (0, 1].
     """
     phi1, phi2, x1, x2, _ = _oriented_floats(g)
-    case = _classify_f(phi1, phi2, x1, x2)
-    if case in (1, 4):
-        return None
-    if case == 2:
-        return (math.sqrt(phi2 * x1 / (phi1 * x2)) - x1) / x2
-    c = math.sqrt(phi1 * phi2 / (x1 * x2))
-    return (phi2 + c * x1) / (phi1 + c * x2)
+    return _alliance_threshold_f(phi1, phi2, x1, x2, _classify_f(phi1, phi2, x1, x2))
 
 
 def _check_beta(beta: float) -> None:

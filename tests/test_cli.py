@@ -372,6 +372,57 @@ class TestVerify:
         game = doc["failures"][0]["game"]
         assert game == {"phi1": 1.0, "phi2": 1.2, "x1": 0.5, "x2": 1.5}
 
+    # sha256 of stdout on two failing runs, which the golden commands never
+    # reach: every disagreement kind in the order the audit appends them, and
+    # the positive-transfer verdict on a game that is not oriented.
+    FAILING_FLAGS = [
+        "verify", "--trials", "1", "--seed", "fixed-case-2-game",
+        "--tau-step", "2e-3", "--split-step", "2e-3",
+    ]
+
+    def test_corrupted_summary_bytes(self, capsys, monkeypatch):
+        import dataclasses
+
+        from blotto_alliance import cli as cli_module
+
+        true_summary = cli_module.closed_form_summary
+
+        def corrupted(g, beta):
+            closed = true_summary(g, beta)
+            return dataclasses.replace(
+                closed,
+                mb_exists=not closed.mb_exists,
+                tau_dagger=0.0,
+                alliance_value=closed.alliance_value + 0.5,
+                adversary_payoff_at_zero=closed.adversary_payoff_at_zero + 0.1,
+            )
+
+        monkeypatch.setattr(cli_module, "closed_form_summary", corrupted)
+        code, out, _ = run_cli(capsys, *self.FAILING_FLAGS, "--beta-list", "0.3,1.0")
+        assert code == 1
+        assert json.loads(out)["summary"]["disagreements"] == 7
+        assert (
+            hashlib.sha256(out.encode("utf-8")).hexdigest()
+            == "c45d7aa9eaa4791ab1a81be5bae18d9548bf46d58c23f0b4168fd8ec74b51203"
+        )
+
+    def test_mirrored_fixture_positive_tau_mutual_bytes(self, capsys, monkeypatch):
+        from blotto_alliance import cli as cli_module
+        from blotto_alliance.adversary_response import GameParams
+
+        # fixed-case-2-game with the players exchanged: mutual benefit lies at tau > 0
+        monkeypatch.setitem(
+            cli_module.FIXED_SEED_GAMES, "fixed-case-2-game", GameParams(1.2, 1.0, 1.5, 0.5)
+        )
+        code, out, _ = run_cli(capsys, *self.FAILING_FLAGS, "--beta-list", "0.8,1.0")
+        assert code == 1
+        summary = json.loads(out)["summary"]
+        assert summary["positive_tau_mutual"] == summary["disagreements"] == 2
+        assert (
+            hashlib.sha256(out.encode("utf-8")).hexdigest()
+            == "7944df68862679a200f7dd579ab93379169ee7e8efacc2d906662d35ef19ff42"
+        )
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self):

@@ -199,7 +199,6 @@ class TestAgreementWithClosedForms:
             alliance_value=closed.alliance_value - 0.2,
             alliance_beta_threshold=closed.alliance_beta_threshold,
             adversary_payoff_at_zero=closed.adversary_payoff_at_zero + 0.1,
-            x_a1_at_zero=closed.x_a1_at_zero,
         )
         report = transfer_grid_scan(G1, 1.0, COARSE, broken)
         quantities = {d.quantity for d in report.disagreements}

@@ -114,7 +114,7 @@ class TestPayoffCurves:
 
 class TestBetaSweep:
     def test_mutual_flag_switch_brackets_threshold(self):
-        rows = beta_sweep(G1, (0.4, 0.6), 201, tau_steps=301)
+        rows = beta_sweep(G1, (0.4, 0.6), 201)
         switches = [
             (a.beta, b.beta)
             for a, b in zip(rows, rows[1:])
@@ -125,7 +125,7 @@ class TestBetaSweep:
         assert lo <= 0.5099407093782344 <= hi
 
     def test_alliance_flag_switch_brackets_threshold(self):
-        rows = beta_sweep(G1, (0.05, 0.12), 141, tau_steps=301)
+        rows = beta_sweep(G1, (0.05, 0.12), 141)
         switches = [
             (a.beta, b.beta)
             for a, b in zip(rows, rows[1:])
@@ -136,7 +136,7 @@ class TestBetaSweep:
         assert lo <= 0.08830368802245058 <= hi
 
     def test_max_alliance_payoff_dominates_nominal_and_grows(self):
-        rows = beta_sweep(G1, (0.05, 1.0), 40, tau_steps=301)
+        rows = beta_sweep(G1, (0.05, 1.0), 40)
         for row in rows:
             assert row.max_u12 >= row.u12_nominal - 1e-12
             assert row.max_u1_mutual >= row.u1_nominal - 1e-12

@@ -272,6 +272,12 @@ class TestAlliance:
         assert alliance_beta_threshold(G1) == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(0.088304, abs=1e-3)
 
+    @pytest.mark.parametrize("game", [G1, CASE3_GAME], ids=["case-2", "case-3"])
+    def test_in_g_dagger_decided_by_the_threshold(self, game):
+        threshold = alliance_beta_threshold(game)
+        for beta in (math.nextafter(threshold, 0.0), threshold, math.nextafter(threshold, 1.0)):
+            assert in_g_dagger(game, beta) == (beta <= threshold), beta
+
     def test_alliance_optimal_inside_g_dagger(self):
         assert alliance_optimal(G1, 0.08) == (0.0, 0.0)
         for beta in (0.05, 0.5, 1.0):
