@@ -6,6 +6,11 @@ row and newline line endings; JSON documents carry a schema_version field
 and serialize every real number with 17 significant digits, which
 round-trips doubles losslessly. Diagnostics go to stderr; exit codes are
 0 (success), 1 (verification found disagreements), 2 (invalid parameters).
+
+`verify` defaults to 200 trials, seed 0, tau step 1e-4, split step 1e-3 and
+betas 0.1,0.3,0.5,0.8,1.0. `--config FILE` holds `key = value` lines whose
+keys are flag names with `-` or `_`: keys of other subcommands are ignored,
+an unknown key exits 2, and flags given on the command line override the file.
 """
 
 import argparse
@@ -112,7 +117,8 @@ def _write_csv(header: list[str], rows, out) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subparsers by name; each flag's type and default are stated only here."""
     parser = argparse.ArgumentParser(
         prog="blotto-alliance",
         description="Transfer analysis for coalitional Lotto games with lossy transfers.",
@@ -123,67 +129,76 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value file mirroring the flags; flags override it")
 
     def add_game(p):
-        p.add_argument("--phi1", type=float, default=None, help="front 1 total valuation")
-        p.add_argument("--phi2", type=float, default=None, help="front 2 total valuation")
-        p.add_argument("--x1", type=float, default=None, help="player 1 budget")
-        p.add_argument("--x2", type=float, default=None, help="player 2 budget")
-        p.add_argument("--xa", type=float, default=None, help="adversary budget (default 1)")
+        p.add_argument("--phi1", type=float, help="front 1 total valuation")
+        p.add_argument("--phi2", type=float, help="front 2 total valuation")
+        p.add_argument("--x1", type=float, help="player 1 budget")
+        p.add_argument("--x2", type=float, help="player 2 budget")
+        p.add_argument("--xa", type=float, default=1.0, help="adversary budget (default 1)")
 
     p = sub.add_parser("analyze", help="full transfer analysis of one game")
     add_common(p)
     add_game(p)
-    p.add_argument("--beta", type=float, default=None, help="transfer efficiency in (0, 1]")
+    p.add_argument("--beta", type=float, help="transfer efficiency in (0, 1]")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="format", action="store_const", const="json")
     fmt.add_argument("--text", dest="format", action="store_const", const="text")
-    p.set_defaults(handler=cmd_analyze, format=None)
+    p.set_defaults(handler=cmd_analyze, format="json")
 
     p = sub.add_parser("curve", help="payoff-change curve along the transfer axis (CSV)")
     add_common(p)
     add_game(p)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--tau-min", type=float, default=None)
-    p.add_argument("--tau-max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--tau-min", type=float)
+    p.add_argument("--tau-max", type=float)
+    p.add_argument("--steps", type=int)
     p.set_defaults(handler=cmd_curve)
 
     p = sub.add_parser("region", help="raster of the (x1, x2) plane (CSV)")
     add_common(p)
-    p.add_argument("--phi1", type=float, default=None)
-    p.add_argument("--phi2", type=float, default=None)
-    p.add_argument("--beta-list", default=None, help="comma-separated efficiencies")
-    p.add_argument("--x1-min", type=float, default=None)
-    p.add_argument("--x1-max", type=float, default=None)
-    p.add_argument("--x2-min", type=float, default=None)
-    p.add_argument("--x2-max", type=float, default=None)
-    p.add_argument("--resolution", type=int, default=None, help="cells per axis")
+    p.add_argument("--phi1", type=float)
+    p.add_argument("--phi2", type=float)
+    p.add_argument("--beta-list", help="comma-separated efficiencies")
+    p.add_argument("--x1-min", type=float)
+    p.add_argument("--x1-max", type=float)
+    p.add_argument("--x2-min", type=float)
+    p.add_argument("--x2-max", type=float)
+    p.add_argument("--resolution", type=int, help="cells per axis")
     p.set_defaults(handler=cmd_region)
 
     p = sub.add_parser("beta-sweep", help="attainable payoff maxima per efficiency (CSV)")
     add_common(p)
     add_game(p)
-    p.add_argument("--beta-min", type=float, default=None)
-    p.add_argument("--beta-max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--beta-min", type=float)
+    p.add_argument("--beta-max", type=float)
+    p.add_argument("--steps", type=int)
     p.set_defaults(handler=cmd_beta_sweep)
 
+    oracle_defaults = OracleConfig()
     p = sub.add_parser("verify", help="audit closed forms against the grid oracle (JSON)")
     add_common(p)
-    p.add_argument("--trials", type=int, default=None, help="number of random games")
+    p.add_argument("--trials", type=int, default=200, help="number of random games")
     p.add_argument(
         "--seed",
-        default=None,
+        default="0",
         help="integer, arbitrary string (hashed), or a fixed-case-N-game fixture name",
     )
-    p.add_argument("--tau-step", type=float, default=None)
-    p.add_argument("--split-step", type=float, default=None)
-    p.add_argument("--beta-list", default=None, help="comma-separated efficiencies")
+    p.add_argument("--tau-step", type=float, default=oracle_defaults.tau_step)
+    p.add_argument("--split-step", type=float, default=oracle_defaults.split_step)
+    betas = ",".join(map(str, DEFAULT_VERIFY_BETAS))
+    p.add_argument("--beta-list", default=betas, help="comma-separated efficiencies")
     p.set_defaults(handler=cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
-def _load_config(path: str) -> dict[str, str]:
+def _load_config(path: str, commands: dict, command: str) -> dict[str, str]:
+    """The file's values for the flags of `command`, keyed by argparse dest.
+
+    Keys are flag names with `-` or `_`. Keys of other subcommands are
+    skipped; a key that no subcommand has is an error.
+    """
+    dests = {name: {a.dest for a in p._actions} for name, p in commands.items()}
+    known = set().union(*dests.values()) - {"help", "config"}
     values: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -194,33 +209,14 @@ def _load_config(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise CliError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
                 key, _, val = line.partition("=")
-                values[key.strip().replace("-", "_").lstrip("_")] = val.strip()
+                key = key.strip().replace("-", "_").lstrip("_")
+                if key not in known:
+                    raise CliError(f"unknown config key {key!r}")
+                if key in dests[command]:
+                    values[key] = val.strip()
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     return values
-
-
-_CONVERTERS = {
-    "phi1": float, "phi2": float, "x1": float, "x2": float, "xa": float,
-    "beta": float, "tau_min": float, "tau_max": float, "steps": int,
-    "beta_list": str, "x1_min": float, "x1_max": float, "x2_min": float,
-    "x2_max": float, "resolution": int, "trials": int, "seed": str,
-    "tau_step": float, "split_step": float, "format": str,
-}
-
-
-def _merge_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    for key, raw in _load_config(args.config).items():
-        if key not in _CONVERTERS:
-            raise CliError(f"unknown config key {key!r}")
-        if not hasattr(args, key) or getattr(args, key) is not None:
-            continue  # flag was supplied or does not apply; flags win
-        try:
-            setattr(args, key, _CONVERTERS[key](raw))
-        except ValueError as exc:
-            raise CliError(f"config key {key!r}: {exc}") from exc
 
 
 def _require(args, name: str):
@@ -231,24 +227,8 @@ def _require(args, name: str):
 
 
 def _game_from(args) -> GameParams:
-    xa = args.xa if args.xa is not None else 1.0
-    try:
-        return GameParams(
-            phi1=_require(args, "phi1"),
-            phi2=_require(args, "phi2"),
-            x1=_require(args, "x1"),
-            x2=_require(args, "x2"),
-            adversary_budget=xa,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
-def _beta_from(args) -> float:
-    beta = _require(args, "beta")
-    if not (0.0 < beta <= 1.0):
-        raise CliError(f"beta must lie in (0, 1], got {beta}")
-    return beta
+    phi1, phi2, x1, x2 = (_require(args, name) for name in ("phi1", "phi2", "x1", "x2"))
+    return GameParams(phi1, phi2, x1, x2, adversary_budget=args.xa)
 
 
 def _parse_beta_list(raw: str) -> tuple[float, ...]:
@@ -271,7 +251,7 @@ def _parse_beta_list(raw: str) -> tuple[float, ...]:
 
 def cmd_analyze(args) -> int:
     game = _game_from(args)
-    beta = _beta_from(args)
+    beta = _require(args, "beta")
     analysis = transfer_engine.analyze(game, beta)
     nominal = transfer_engine.payoffs_at(game, Transfer(tau=0.0, beta=beta))
     gn, orientation = normalize(game)
@@ -306,7 +286,7 @@ def cmd_analyze(args) -> int:
             "case4_split_convention": "proportional: x_a_i = x_i / (x1 + x2)",
         },
     }
-    if (args.format or "json") == "json":
+    if args.format == "json":
         print(_dumps(report))
     else:
         _print_text_report(report)
@@ -337,14 +317,9 @@ def _print_text_report(report: dict) -> None:
 
 def cmd_curve(args) -> int:
     game = _game_from(args)
-    beta = _beta_from(args)
-    tau_min = _require(args, "tau_min")
-    tau_max = _require(args, "tau_max")
-    steps = _require(args, "steps")
-    try:
-        rows = sweep.payoff_curves(game, beta, (tau_min, tau_max), steps)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    beta = _require(args, "beta")
+    tau_range = (_require(args, "tau_min"), _require(args, "tau_max"))
+    rows = sweep.payoff_curves(game, beta, tau_range, _require(args, "steps"))
     _write_csv(["tau", "du1", "du2", "u12"], rows, sys.stdout)
     return 0
 
@@ -352,18 +327,15 @@ def cmd_curve(args) -> int:
 def cmd_region(args) -> int:
     betas = _parse_beta_list(_require(args, "beta_list"))
     resolution = _require(args, "resolution")
-    try:
-        grid = sweep.SweepGrid(
-            axes=(
-                sweep.Axis("x1", _require(args, "x1_min"), _require(args, "x1_max"), resolution),
-                sweep.Axis("x2", _require(args, "x2_min"), _require(args, "x2_max"), resolution),
-            ),
-            fixed={"phi1": _require(args, "phi1"), "phi2": _require(args, "phi2")},
-            beta_list=betas,
-        )
-        cells = sweep.region_raster(grid)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    grid = sweep.SweepGrid(
+        axes=(
+            sweep.Axis("x1", _require(args, "x1_min"), _require(args, "x1_max"), resolution),
+            sweep.Axis("x2", _require(args, "x2_min"), _require(args, "x2_max"), resolution),
+        ),
+        fixed={"phi1": _require(args, "phi1"), "phi2": _require(args, "phi2")},
+        beta_list=betas,
+    )
+    cells = sweep.region_raster(grid)
     rows = (
         (
             c.beta, c.x1, c.x2, c.in_frame,
@@ -378,32 +350,11 @@ def cmd_region(args) -> int:
 
 def cmd_beta_sweep(args) -> int:
     game = _game_from(args)
-    beta_min = _require(args, "beta_min")
-    beta_max = _require(args, "beta_max")
-    steps = _require(args, "steps")
-    try:
-        rows = sweep.beta_sweep(game, (beta_min, beta_max), steps)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    header = [
-        "beta", "u1_nominal", "u2_nominal", "u12_nominal",
-        "max_u1_mutual", "max_u2_mutual", "max_u1_any", "max_u2_any",
-        "max_u12", "u1_at_alliance_opt", "u2_at_alliance_opt",
-        "mb_exists", "alliance_nonzero",
-    ]
-    _write_csv(
-        header,
-        (
-            (
-                r.beta, r.u1_nominal, r.u2_nominal, r.u12_nominal,
-                r.max_u1_mutual, r.max_u2_mutual, r.max_u1_any, r.max_u2_any,
-                r.max_u12, r.u1_at_alliance_opt, r.u2_at_alliance_opt,
-                r.mb_exists, r.alliance_nonzero,
-            )
-            for r in rows
-        ),
-        sys.stdout,
-    )
+    beta_range = (_require(args, "beta_min"), _require(args, "beta_max"))
+    rows = sweep.beta_sweep(game, beta_range, _require(args, "steps"))
+    # BetaSweepRow's fields are the CSV columns, in order
+    header = [f.name for f in dataclasses.fields(sweep.BetaSweepRow)]
+    _write_csv(header, (dataclasses.astuple(r) for r in rows), sys.stdout)
     return 0
 
 
@@ -527,23 +478,11 @@ def run_verify(
 
 
 def cmd_verify(args) -> int:
-    trials = args.trials if args.trials is not None else 200
-    if trials < 1:
-        raise CliError(f"trials must be >= 1, got {trials}")
-    seed_spec = args.seed if args.seed is not None else "0"
-    betas = (
-        _parse_beta_list(args.beta_list)
-        if args.beta_list is not None
-        else DEFAULT_VERIFY_BETAS
-    )
-    try:
-        cfg = OracleConfig(
-            tau_step=args.tau_step if args.tau_step is not None else 1e-4,
-            split_step=args.split_step if args.split_step is not None else 1e-3,
-        )
-        report = run_verify(trials, seed_spec, betas, cfg)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.trials < 1:
+        raise CliError(f"trials must be >= 1, got {args.trials}")
+    betas = _parse_beta_list(args.beta_list)
+    cfg = OracleConfig(tau_step=args.tau_step, split_step=args.split_step)
+    report = run_verify(args.trials, args.seed, betas, cfg)
     print(_dumps(report))
     return 0 if report["summary"]["disagreements"] == 0 else 1
 
@@ -554,12 +493,16 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
+    # CliError and the library's ValueError both mean invalid parameters
     try:
-        _merge_config(args)
+        if args.config:
+            # the file's values become defaults, so flags given in argv still win
+            commands[args.command].set_defaults(**_load_config(args.config, commands, args.command))
+            args = parser.parse_args(argv)
         return args.handler(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

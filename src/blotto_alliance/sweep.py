@@ -17,6 +17,7 @@ import numpy as np
 from blotto_alliance.adversary_response import Case, GameParams
 from blotto_alliance.transfer_engine import (
     _check_beta,
+    _domain_grid,
     _induced_payoffs,
     _induced_payoffs_vec,
     _mutual_benefit_f,
@@ -24,9 +25,6 @@ from blotto_alliance.transfer_engine import (
     alliance_optimal,
     mb_exists,
 )
-
-# Points of the beta sweep's transfer grid across the whole domain (-x2, x1).
-_SWEEP_TAU_POINTS = 2001
 
 
 @dataclass(frozen=True)
@@ -182,10 +180,7 @@ def beta_sweep(
     u1_nom, u2_nom = _induced_payoffs(g, 0.0, 1.0)
     u12_nom = u1_nom + u2_nom
 
-    eps_lo, eps_hi = _tau_bounds(g.x1, g.x2)
-    taus = np.append(
-        eps_lo + (eps_hi - eps_lo) * np.arange(_SWEEP_TAU_POINTS) / (_SWEEP_TAU_POINTS - 1), 0.0
-    )
+    taus = np.append(_domain_grid(g.x1, g.x2), 0.0)
 
     rows = []
     for i in range(steps):

@@ -62,7 +62,9 @@ from blotto_alliance.adversary_response import (
 # payoff evaluation: absolute for budgets below 1, relative above (see
 # _tau_bounds); the boundaries themselves are excluded.
 _EDGE = 1e-12
-_MARGIN_STEPS = 2001
+# Points of the evenly spaced transfer grid across the whole domain that the
+# closed-form scans (mutual_margin, the beta sweep) evaluate.
+_DOMAIN_POINTS = 2001
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -81,8 +83,7 @@ class Transfer:
     beta: float
 
     def __post_init__(self):
-        if not (0.0 < self.beta <= 1.0):
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
+        _check_beta(self.beta)
         if not math.isfinite(self.tau):
             raise ValueError(f"tau must be finite, got {self.tau}")
 
@@ -130,6 +131,12 @@ def _induced_budgets(x1: float, x2: float, tau: float, beta: float) -> tuple[flo
 def _tau_bounds(x1: float, x2: float) -> tuple[float, float]:
     """The closed range of transfers that payoffs are evaluated at."""
     return -x2 + max(_EDGE, _EDGE * x2), x1 - max(_EDGE, _EDGE * x1)
+
+
+def _domain_grid(x1: float, x2: float) -> np.ndarray:
+    """_DOMAIN_POINTS evenly spaced transfers from one end of _tau_bounds to the other."""
+    lo, hi = _tau_bounds(x1, x2)
+    return lo + (hi - lo) * np.arange(_DOMAIN_POINTS) / (_DOMAIN_POINTS - 1)
 
 
 def _induced_payoffs(g: GameParams, tau: float, beta: float) -> tuple[float, float]:
@@ -498,9 +505,7 @@ def mutual_margin(g: GameParams, beta: float) -> float:
     _check_beta(beta)
     gn, _ = normalize(g)
     u1_base, u2_base = _induced_payoffs(gn, 0.0, beta)
-    lo, hi = _tau_bounds(gn.x1, gn.x2)
-    taus = lo + (hi - lo) * np.arange(_MARGIN_STEPS) / (_MARGIN_STEPS - 1)
-    u1, u2 = _induced_payoffs_vec(gn, taus, beta)
+    u1, u2 = _induced_payoffs_vec(gn, _domain_grid(gn.x1, gn.x2), beta)
     return float(np.max(np.minimum(u1 - u1_base, u2 - u2_base)))
 
 

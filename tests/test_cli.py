@@ -461,3 +461,63 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "analyze", "--config", str(cfg))
         assert code == 2
         assert "phi9" in err
+
+    def test_keys_of_other_subcommands_are_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "game.cfg"
+        cfg.write_text(
+            "phi1 = 1\nphi2 = 1.2\nx1 = 0.5\nx2 = 1.5\nbeta = 0.8\ntrials = 5\ntau-step = 1e-3\n"
+        )
+        code, out, _ = run_cli(capsys, "analyze", "--config", str(cfg))
+        assert code == 0
+        _, flags_out, _ = run_cli(capsys, "analyze", *G1_FLAGS, "--beta", "0.8")
+        assert out == flags_out
+
+    def test_format_key_and_flag_override(self, capsys, tmp_path):
+        cfg = tmp_path / "game.cfg"
+        cfg.write_text("phi1 = 1\nphi2 = 1.2\nx1 = 0.5\nx2 = 1.5\nbeta = 1\nformat = text\n")
+        code, out, _ = run_cli(capsys, "analyze", "--config", str(cfg))
+        assert code == 0
+        assert out.startswith("game: ")
+        code, out, _ = run_cli(capsys, "analyze", "--config", str(cfg), "--json")
+        assert code == 0
+        assert json.loads(out)["transfer_analysis"]["mb_exists"] is True
+
+    def test_verify_config_matches_golden_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("trials = 3\nseed = 7\ntau-step = 1e-3\nphi1 = 9\n")
+        code, out, _ = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT["verify"][1]
+
+    def test_beta_sweep_range_from_config(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "phi1 = 1\nphi2 = 1.2\nx1 = 0.5\nx2 = 1.5\nbeta-min = 0.05\nbeta-max = 1.0\nsteps = 50\n"
+        )
+        code, out, _ = run_cli(capsys, "beta-sweep", "--config", str(cfg))
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT["beta-sweep"][1]
+
+    def test_unconvertible_value_exits_2_naming_the_key(self, tmp_path):
+        import subprocess
+        import sys
+
+        cfg = tmp_path / "game.cfg"
+        cfg.write_text("phi1 = 1\nphi2 = 1.2\nx1 = abc\nx2 = 1.5\nbeta = 1\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "blotto_alliance.cli", "analyze", "--config", str(cfg)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "x1" in result.stderr
+
+    def test_verify_defaults_in_config_block(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--trials", "1", "--seed", "7", "--tau-step", "1e-3"
+        )
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert config["beta_list"] == [0.1, 0.3, 0.5, 0.8, 1.0]
+        assert config["split_step"] == 0.001
