@@ -7,23 +7,29 @@ a sweep over the efficiency beta tabulating attainable payoff maxima.
 
 Rasters depict only the oriented half plane phi2/phi1 <= x2/x1; cells on
 the other side are marked out of frame and carry no analysis fields.
+
+The raster sends every in-frame cell at every beta through one array pass of
+the alliance march, and the beta sweep sends all its beta rows through one;
+both equal the scalar point path bit for bit. The beta sweep still scans its
+transfer grid one beta row at a time.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from blotto_alliance.adversary_response import Case, GameParams
+from blotto_alliance.adversary_response import Case, GameParams, _classify_f, normalize
 from blotto_alliance.transfer_engine import (
+    _alliance_optimal_vec,
     _check_beta,
     _domain_grid,
     _induced_payoffs,
     _induced_payoffs_vec,
-    _mutual_benefit_f,
+    _mb_threshold_f,
+    _mutual_benefit_vec,
     _tau_bounds,
-    alliance_optimal,
-    mb_exists,
 )
 
 
@@ -81,7 +87,11 @@ class SweepCell:
 
 
 def region_raster(grid: SweepGrid) -> list[SweepCell]:
-    """One cell per (beta, x2, x1) triple, row-major with x1 varying fastest."""
+    """One cell per (beta, x2, x1) triple, row-major with x1 varying fastest.
+
+    Raises ValueError, as the point path does, when an in-frame cell's
+    mutual-benefit threshold leaves the float range.
+    """
     names = {a.name for a in grid.axes}
     if names != {"x1", "x2"}:
         raise ValueError(f"region raster sweeps exactly x1 and x2, got {sorted(names)}")
@@ -95,29 +105,45 @@ def region_raster(grid: SweepGrid) -> list[SweepCell]:
     x1_values = by_name["x1"].values()
     x2_values = by_name["x2"].values()
 
+    x1_grid, x2_grid = np.meshgrid(x1_values, x2_values)
+    with np.errstate(over="ignore"):  # the products overflow silently on Python floats
+        in_frame = ~(phi2 * x1_grid > phi1 * x2_grid)
+    # an in-frame cell is its own oriented unit-adversary game
+    x1_in, x2_in = x1_grid[in_frame], x2_grid[in_frame]
+    if x1_in.size:
+        # the first cell with a non-finite budget, else any: GameParams names the bad field
+        k = int(np.argmin(np.isfinite(x1_in) & np.isfinite(x2_in)))
+        GameParams(phi1, phi2, x1_in[k].item(), x2_in[k].item())
+    case, threshold = _mutual_benefit_vec(phi1, phi2, x1_in, x2_in)
+    betas = np.array(grid.beta_list)[:, None]
+    tau_dagger, gain = _alliance_optimal_vec(phi1, phi2, x1_in, x2_in, betas)
+    exists = ((case == 2) | (case == 3)) & (betas > threshold)
+
+    labels = [Case(c) for c in case.tolist()]
+    thresholds = threshold.tolist()
+    frame = in_frame.ravel().tolist()
     cells = []
-    for beta in grid.beta_list:
-        for x2 in x2_values:
-            for x1 in x1_values:
-                if phi2 * x1 > phi1 * x2:
-                    cells.append(SweepCell(beta=beta, x1=x1, x2=x2, in_frame=False))
-                    continue
-                case, threshold, exists = _mutual_benefit_f(phi1, phi2, x1, x2, beta)
-                # an in-frame cell is its own oriented unit-adversary game
-                tau_dagger, gain = alliance_optimal(GameParams(phi1, phi2, x1, x2), beta)
-                cells.append(
-                    SweepCell(
-                        beta=beta,
-                        x1=x1,
-                        x2=x2,
-                        in_frame=True,
-                        case_label=Case(case),
-                        mb_exists=exists,
-                        tau_dagger=tau_dagger,
-                        mb_beta_threshold=threshold,
-                        alliance_gain=gain,
-                    )
+    per_beta = zip(grid.beta_list, exists.tolist(), tau_dagger.tolist(), gain.tolist())
+    for beta, exists_row, tau_row, gain_row in per_beta:
+        fields = zip(labels, exists_row, tau_row, thresholds, gain_row)
+        for (x2, x1), inside in zip(itertools.product(x2_values, x1_values), frame):
+            if not inside:
+                cells.append(SweepCell(beta=beta, x1=x1, x2=x2, in_frame=False))
+                continue
+            label, cell_exists, cell_tau, cell_threshold, cell_gain = next(fields)
+            cells.append(
+                SweepCell(
+                    beta=beta,
+                    x1=x1,
+                    x2=x2,
+                    in_frame=True,
+                    case_label=label,
+                    mb_exists=cell_exists,
+                    tau_dagger=cell_tau,
+                    mb_beta_threshold=cell_threshold,
+                    alliance_gain=cell_gain,
                 )
+            )
     return cells
 
 
@@ -177,20 +203,26 @@ def beta_sweep(
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
 
+    gn, orientation = normalize(g)
+    phi1, phi2, x1, x2 = gn.phi1, gn.phi2, gn.x1, gn.x2
+    # neither the case at zero nor the threshold depends on beta
+    case, threshold = _classify_f(phi1, phi2, x1, x2), _mb_threshold_f(phi1, phi2, x1, x2)
     u1_nom, u2_nom = _induced_payoffs(g, 0.0, 1.0)
     u12_nom = u1_nom + u2_nom
 
-    taus = np.append(_domain_grid(g.x1, g.x2), 0.0)
+    betas = lo + (hi - lo) * np.arange(steps) / (steps - 1)
+    exists = (case in (2, 3)) & (betas > threshold)
+    tau_dag, gain = _alliance_optimal_vec(phi1, phi2, x1, x2, betas, orientation.swapped, g.adversary_budget)
+    u1_dag, u2_dag = _induced_payoffs_vec(g, tau_dag, betas)
 
+    taus = np.append(_domain_grid(g.x1, g.x2), 0.0)
     rows = []
-    for i in range(steps):
-        beta = lo + (hi - lo) * i / (steps - 1)
+    alliance = zip(u1_dag.tolist(), u2_dag.tolist(), (u12_nom + gain).tolist(), (tau_dag != 0.0).tolist())
+    for beta, (u1_at, u2_at, max_u12, nonzero), mb in zip(betas.tolist(), alliance, exists.tolist()):
         # one beta row at a time keeps every temporary one tau grid long
         u1, u2 = _induced_payoffs_vec(g, taus, beta)
         max_u1_mut = float(np.max(u1, where=u2 >= u2_nom - 1e-12, initial=-math.inf))
         max_u2_mut = float(np.max(u2, where=u1 >= u1_nom - 1e-12, initial=-math.inf))
-        tau_dag, gain = alliance_optimal(g, beta)
-        u1_dag, u2_dag = _induced_payoffs(g, tau_dag, beta)
         rows.append(
             BetaSweepRow(
                 beta=beta,
@@ -201,11 +233,11 @@ def beta_sweep(
                 max_u2_mutual=max_u2_mut,
                 max_u1_any=float(np.max(u1)),
                 max_u2_any=float(np.max(u2)),
-                max_u12=u12_nom + gain,
-                u1_at_alliance_opt=u1_dag,
-                u2_at_alliance_opt=u2_dag,
-                mb_exists=mb_exists(g, beta),
-                alliance_nonzero=tau_dag != 0.0,
+                max_u12=max_u12,
+                u1_at_alliance_opt=u1_at,
+                u2_at_alliance_opt=u2_at,
+                mb_exists=mb,
+                alliance_nonzero=nonzero,
             )
         )
     return rows

@@ -38,9 +38,18 @@ Closed forms implemented here:
     (phi*phi_o, 2U, -phi) (case 3, weak). Between these roots, the case
     boundaries and the proportional band's edges, min(du1, du2) keeps its
     sign; the interval is the first improving run.
+
+The alliance march and both thresholds also run as array passes
+(_alliance_optimal_vec, _mutual_benefit_vec) over broadcast arrays of
+oriented unit-adversary games. They take the same steps in the same order,
+sharing the seed polynomials and threshold formulas with the scalar path, so
+every element equals the scalar result bit for bit, the sign of zero
+included. The region raster and the beta sweep's alliance columns use them;
+point queries (analyze, alliance_optimal) stay scalar.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +61,8 @@ from blotto_alliance.adversary_response import (
     Orientation,
     PayoffProfile,
     _classify_f,
+    _classify_vec,
+    _orient_vec,
     _payoffs_any_f,
     _payoffs_f,
     _payoffs_vec,
@@ -183,10 +194,41 @@ def _oriented_floats(g: GameParams) -> tuple[float, float, float, float, bool]:
     return gn.phi1, gn.phi2, gn.x1, gn.x2, orientation.swapped
 
 
+def _mb_threshold_branches(phi1, phi2, x1, x2, cube, sqrt=math.sqrt):
+    """The case-2 and case-3 branches of the threshold, given cube = phi1*x2**3."""
+    return sqrt(4.0 * phi2 * x1 / cube) - x1 / x2, sqrt(4.0 * phi2 * x1 / (phi1 * x2)) + x1 / x2
+
+
+def _cube_out_of_range(cube: float, phi1: float, x2: float) -> ValueError:
+    how = "underflows to 0" if cube == 0.0 else "overflows"
+    return ValueError(
+        f"mutual-benefit threshold out of float range: phi1*x2**3 {how} "
+        f"(phi1={phi1!r}, x2={x2!r} against a unit adversary)"
+    )
+
+
 def _mb_threshold_f(phi1: float, phi2: float, x1: float, x2: float) -> float:
-    t_case2 = math.sqrt(4.0 * phi2 * x1 / (phi1 * x2**3)) - x1 / x2
-    t_case3 = math.sqrt(4.0 * phi2 * x1 / (phi1 * x2)) + x1 / x2
+    """The mutual-benefit threshold; ValueError where phi1*x2**3 is 0 or overflows."""
+    try:
+        cube = phi1 * x2**3
+    except OverflowError:
+        cube = math.inf
+    if not 0.0 < cube < math.inf:
+        raise _cube_out_of_range(cube, phi1, x2)
+    t_case2, t_case3 = _mb_threshold_branches(phi1, phi2, x1, x2, cube)
     return min(t_case2, t_case3)
+
+
+def _mb_threshold_vec(phi1, phi2, x1, x2) -> np.ndarray:
+    """_mb_threshold_f per element of oriented unit-adversary arrays, raising as it does."""
+    with np.errstate(all="ignore"):  # Python floats overflow silently too
+        cube = phi1 * np.float_power(x2, 3)
+        t_case2, t_case3 = _mb_threshold_branches(phi1, phi2, x1, x2, cube, np.sqrt)
+    bad = np.flatnonzero(~((cube > 0.0) & (cube < math.inf)))
+    if bad.size:
+        k = bad[0]
+        raise _cube_out_of_range(*(np.broadcast_to(v, cube.shape).flat[k].item() for v in (cube, phi1, x2)))
+    return np.where(t_case3 < t_case2, t_case3, t_case2)  # min() keeps the first on a tie
 
 
 def mb_beta_threshold(g: GameParams) -> float:
@@ -208,6 +250,13 @@ def _mutual_benefit_f(
     return case, threshold, case in (2, 3) and beta > threshold
 
 
+def _mutual_benefit_vec(phi1, phi2, x1, x2) -> tuple[np.ndarray, np.ndarray]:
+    """(case, threshold) of _mutual_benefit_f per element; exists is case in (2, 3) and beta > threshold."""
+    with np.errstate(all="ignore"):
+        case = _classify_vec(phi1, phi2, x1, x2)
+    return case, _mb_threshold_vec(phi1, phi2, x1, x2)
+
+
 def mb_exists(g: GameParams, beta: float) -> bool:
     """Whether some transfer strictly raises both players' payoffs."""
     _check_beta(beta)
@@ -223,14 +272,17 @@ def in_g_dagger(g: GameParams, beta: float) -> bool:
 
 
 def _alliance_threshold_f(
-    phi1: float, phi2: float, x1: float, x2: float, case: int
+    phi1: float, phi2: float, x1: float, x2: float, case: int, sqrt=math.sqrt
 ) -> float | None:
-    """Zero transfer is alliance-optimal iff beta <= this (cases 2, 3); None in cases 1, 4."""
+    """Zero transfer is alliance-optimal iff beta <= this (cases 2, 3); None in cases 1, 4.
+
+    The budgets and valuations may be arrays, with sqrt=np.sqrt, for a case of 2 or 3.
+    """
     if case in (1, 4):
         return None
     if case == 2:
-        return (math.sqrt(phi2 * x1 / (phi1 * x2)) - x1) / x2
-    c = math.sqrt(phi1 * phi2 / (x1 * x2))
+        return (sqrt(phi2 * x1 / (phi1 * x2)) - x1) / x2
+    c = sqrt(phi1 * phi2 / (x1 * x2))
     return (phi2 + c * x1) / (phi1 + c * x2)
 
 
@@ -240,6 +292,13 @@ def _in_g_dagger_f(phi1: float, phi2: float, x1: float, x2: float, beta: float) 
     if threshold is None:
         return case == 4
     return beta <= threshold
+
+
+def _in_g_dagger_vec(phi1, phi2, x1, x2, beta) -> np.ndarray:
+    """_in_g_dagger_f per element of oriented unit-adversary arrays."""
+    case = _classify_vec(phi1, phi2, x1, x2)
+    below = [beta <= _alliance_threshold_f(phi1, phi2, x1, x2, c, np.sqrt) for c in (2, 3)]
+    return (case == 4) | ((case == 2) & below[0]) | ((case == 3) & below[1])
 
 
 def alliance_beta_threshold(g: GameParams) -> float | None:
@@ -273,6 +332,30 @@ def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
     return [(-b - s) / (2.0 * a), (-b + s) / (2.0 * a)]
 
 
+def _seed_polynomials(phi1, phi2, x1, x2, beta, power=operator.pow):
+    """The linear seed and the (a, b, c) of the four quadratics of _boundary_seeds.
+
+    Floats or broadcast arrays; the array march passes np.float_power for
+    power, since an ndarray's ** does not round like the scalar pow.
+    """
+    r = phi2 / phi1
+    c = phi1 / phi2
+    linear = (x2 - r * x1) / (1.0 + r * beta)
+    return linear, [
+        # (x1 + beta*t)(x2 - t) = cap, for cap = phi2/phi1 and phi1/phi2
+        (beta, x1 - beta * x2, r - x1 * x2),
+        (beta, x1 - beta * x2, c - x1 * x2),
+        # c*u*v = (1 - v)^2 = (t + 1 - x2)^2
+        (c * beta + 1.0, 2.0 * (1.0 - x2) - c * (beta * x2 - x1), power(1.0 - x2, 2) - c * x1 * x2),
+        # r*u*v = (1 - u)^2 = (1 - x1 - beta*t)^2
+        (
+            beta * beta + r * beta,
+            -2.0 * beta * (1.0 - x1) - r * (beta * x2 - x1),
+            power(1.0 - x1, 2) - r * x1 * x2,
+        ),
+    ]
+
+
 def _boundary_seeds(
     phi1: float, phi2: float, x1: float, x2: float, beta: float, t_top: float
 ) -> list[float]:
@@ -286,24 +369,10 @@ def _boundary_seeds(
     (0, t_top) are the march's segment edges; a root that is no boundary
     only splits a segment in two.
     """
-    seeds = [(x2 - (phi2 / phi1) * x1) / (1.0 + (phi2 / phi1) * beta)]
-    for cap in (phi2 / phi1, phi1 / phi2):
-        # (x1 + beta*t)(x2 - t) = cap
-        seeds += _quadratic_roots(beta, x1 - beta * x2, cap - x1 * x2)
-    c = phi1 / phi2
-    # c*u*v = (1 - v)^2 = (t + 1 - x2)^2
-    seeds += _quadratic_roots(
-        c * beta + 1.0,
-        2.0 * (1.0 - x2) - c * (beta * x2 - x1),
-        (1.0 - x2) ** 2 - c * x1 * x2,
-    )
-    r = phi2 / phi1
-    # r*u*v = (1 - u)^2 = (1 - x1 - beta*t)^2
-    seeds += _quadratic_roots(
-        beta * beta + r * beta,
-        -2.0 * beta * (1.0 - x1) - r * (beta * x2 - x1),
-        (1.0 - x1) ** 2 - r * x1 * x2,
-    )
+    linear, quadratics = _seed_polynomials(phi1, phi2, x1, x2, beta)
+    seeds = [linear]
+    for a, b, c in quadratics:
+        seeds += _quadratic_roots(a, b, c)
     return [t for t in seeds if 0.0 < t < t_top]
 
 
@@ -375,6 +444,97 @@ def alliance_optimal(g: GameParams, beta: float) -> tuple[float, float]:
     tau_oriented = -t_dag
     tau_raw = (-tau_oriented if orientation.swapped else tau_oriented) * g.adversary_budget
     return tau_raw, gain
+
+
+def _quadratic_roots_vec(a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """_quadratic_roots per element, as two roots each with NaN for a missing one."""
+    disc = b * b - 4.0 * a * c
+    s = np.sqrt(np.where(disc < 0.0, np.nan, disc))
+    linear = a == 0.0
+    return (
+        np.where(linear, -c / b, (-b - s) / (2.0 * a)),
+        np.where(linear, np.nan, (-b + s) / (2.0 * a)),
+    )
+
+
+def _march_alliance_vec(phi1, phi2, x1, x2, beta) -> np.ndarray:
+    """_march_alliance per element of equal-length 1-d arrays.
+
+    The seeds inside (0, t_top) are sorted into one row of cuts per element,
+    with t_top after the last of them and +inf after that; each step of the
+    walk labels one segment of every element still marching.
+    """
+    t_top = -(-x2 + np.maximum(_EDGE, _EDGE * x2))
+    linear, quadratics = _seed_polynomials(phi1, phi2, x1, x2, beta, np.float_power)
+    seeds = np.stack([linear, *(root for q in quadratics for root in _quadratic_roots_vec(*q))], axis=1)
+    seeds[~((0.0 < seeds) & (seeds < t_top[:, None]))] = np.inf
+    cuts = np.sort(np.column_stack([np.zeros_like(t_top), seeds, t_top]), axis=1)
+
+    big_k = x1 + beta * x2
+    lead = beta * phi1 - phi2
+    w = (lead + np.sqrt(lead * lead + 4.0 * beta * phi1 * phi2)) / (2.0 * np.sqrt(phi1 * phi2))
+    ratio_2 = big_k * big_k * phi1 / phi2
+    ratio_2_flipped = beta * beta * phi1 / (phi2 * big_k * big_k)
+    ratio_3 = w * w
+
+    def label(i, t):
+        u, v = x1[i] + beta[i] * t, x2[i] - t
+        flipped, *oriented = _orient_vec(phi1[i], phi2[i], u, v)
+        return _classify_vec(*oriented), flipped
+
+    t_dag = t_top.copy()  # where every segment improves to its far end
+    live = np.arange(t_top.size)
+    for k in range(cuts.shape[1] - 1):
+        live = live[cuts[live, k + 1] < np.inf]
+        if live.size == 0:
+            break
+        t_a, t_b = cuts[live, k], cuts[live, k + 1]
+        case, flipped = label(live, 0.5 * (t_a + t_b))
+        at_a = (label(live, t_a)[0] == 4) | (case == 4) | ((case == 1) & flipped)
+        r = np.where(case == 3, ratio_3[live], np.where(flipped, ratio_2_flipped[live], ratio_2[live]))
+        t = (r * x2[live] - x1[live]) / (beta[live] + r)
+        inside = ~at_a & (case != 1) & (t < t_b)
+        # max(t, t_a) keeps t on a tie, so a -0.0 survives as it does in the scalar march
+        t_dag[live] = np.where(at_a, t_a, np.where(inside, np.where(t >= t_a, t, t_a), t_dag[live]))
+        live = live[~(at_a | inside)]
+    return t_dag
+
+
+def _alliance_optimal_vec(phi1, phi2, x1, x2, beta, swapped: bool = False, xa: float = 1.0):
+    """alliance_optimal per element of oriented unit-adversary games, bit for bit.
+
+    The five arguments broadcast against each other; (tau, gain) come back
+    in their broadcast shape, tau mapped to the caller's frame by swapped
+    and xa as alliance_optimal maps it. Rounding that overflows or divides
+    by zero stays silent, as it does on Python floats.
+    """
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (phi1, phi2, x1, x2, beta)))
+    shape = args[0].shape
+    phi1, phi2, x1, x2, beta = (v.ravel() for v in args)
+    bad_beta = beta[~((0.0 < beta) & (beta <= 1.0))]
+    if bad_beta.size:
+        _check_beta(bad_beta[0].item())
+    with np.errstate(all="ignore"):
+        dagger = _in_g_dagger_vec(phi1, phi2, x1, x2, beta)
+        t_dag = _march_alliance_vec(phi1, phi2, x1, x2, beta)
+        u1, u2 = _payoffs_vec(phi1, phi2, x1 + beta * t_dag, x2 - t_dag)
+        u1_base, u2_base = _payoffs_vec(phi1, phi2, x1, x2)
+    gain = (u1 + u2) - (u1_base + u2_base)
+    losing = np.flatnonzero(~dagger & (gain < -1e-9 * (phi1 + phi2)))
+    if losing.size:
+        k = losing[0]
+        raise InternalInconsistencyError(
+            "alliance march produced a losing transfer",
+            {
+                "phi1": phi1[k].item(), "phi2": phi2[k].item(), "x1": x1[k].item(), "x2": x2[k].item(),
+                "beta": beta[k].item(), "t": t_dag[k].item(), "gain": gain[k].item(),
+            },
+        )
+    tau_oriented = -t_dag
+    tau = np.where(dagger, 0.0, (-tau_oriented if swapped else tau_oriented) * xa)
+    # max(gain, 0.0): a difference of equal sums is +0.0, so no -0.0 reaches here
+    gain = np.where(dagger | (gain < 0.0), 0.0, gain)
+    return tau.reshape(shape), gain.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

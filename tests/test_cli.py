@@ -85,6 +85,24 @@ GOLDEN_STDOUT = {
         ],
         "73668564b8164718f3c7ab900e7551b8fdd4478760985659055cfa98c6beae14",
     ),
+    # five decades of budgets at phi2/phi1 = 1/15: 4,584 in-frame cells in cases 1-3
+    "region-wide": (
+        [
+            "region", "--phi1", "3", "--phi2", "0.2", "--beta-list", "0.1,0.6,1.0",
+            "--x1-min", "0.001", "--x1-max", "50", "--x2-min", "0.001", "--x2-max", "50",
+            "--resolution", "40",
+        ],
+        "5e538fd0424db9208cffc163626ce4f6cd4c4dce7a8e7a06709808bc152e717d",
+    ),
+    # phi1 = phi2 puts the diagonal on the proportional ray: 102 case-4 cells
+    "region-case-4-diagonal": (
+        [
+            "region", "--phi1", "1", "--phi2", "1", "--beta-list", "0.3,0.9",
+            "--x1-min", "0.05", "--x1-max", "3", "--x2-min", "0.05", "--x2-max", "3",
+            "--resolution", "60",
+        ],
+        "0d9902e921a960e8f503d111b626ab31103c0e2ae3a79fc9cd6844da2ad2a294",
+    ),
     "verify": (
         ["verify", "--trials", "3", "--seed", "7", "--tau-step", "1e-3"],
         "351506f5f1c3741405757ced43cc51e9bf380b256b46abd71d44e40d0ec113df",
@@ -183,6 +201,20 @@ class TestAnalyze:
         assert out == ""
         assert "phi2 must be finite" in err
 
+    @pytest.mark.parametrize(
+        "budgets, how",
+        [
+            (["--x1", "1e300", "--x2", "1e-300"], "underflows to 0"),
+            (["--x1", "1e200", "--x2", "1e200"], "overflows"),
+        ],
+    )
+    def test_threshold_out_of_float_range_exits_2(self, capsys, budgets, how):
+        code, out, err = run_cli(
+            capsys, "analyze", "--phi1", "1e300", "--phi2", "1e-300", *budgets, "--beta", "0.5"
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and f"phi1*x2**3 {how}" in err
+
     def test_bad_beta_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", *G1_FLAGS, "--beta", "1.5")
         assert code == 2
@@ -266,6 +298,28 @@ class TestRegion:
         _, second, _ = run_cli(capsys, *flags)
         assert first == second
 
+    def test_threshold_out_of_float_range_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "region", "--phi1", "1", "--phi2", "1", "--beta-list", "0.5",
+            "--x1-min", "1e-120", "--x1-max", "2e-120", "--x2-min", "1e-110",
+            "--x2-max", "2e-110", "--resolution", "2",
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "phi1*x2**3 underflows to 0" in err
+
+    @pytest.mark.parametrize("name", ["region-wide", "region-case-4-diagonal"])
+    def test_no_warning_in_a_fresh_process(self, name):
+        import subprocess
+        import sys
+
+        argv, digest = GOLDEN_STDOUT[name]
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "blotto_alliance.cli", *argv], capture_output=True
+        )
+        assert result.returncode == 0
+        assert result.stderr == b""
+        assert hashlib.sha256(result.stdout).hexdigest() == digest
+
     def test_malformed_range_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "region", "--phi1", "1.2", "--phi2", "1", "--beta-list", "0.5",
@@ -288,6 +342,14 @@ class TestBetaSweep:
         j = header.index("max_u12")
         values = [float(r[j]) for r in rows]
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
+
+    def test_threshold_out_of_float_range_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "beta-sweep", "--phi1", "1e300", "--phi2", "1e-300", "--x1", "1e300",
+            "--x2", "1e-300", "--beta-min", "0.1", "--beta-max", "0.5", "--steps", "3",
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "phi1*x2**3 underflows to 0" in err
 
     def test_beta_range_outside_unit_interval_exits_2(self, capsys):
         code, _, err = run_cli(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blotto_alliance import transfer_engine as te
 from blotto_alliance.adversary_response import (
@@ -461,3 +462,124 @@ class TestMarchExtremes:
             best = alliance_payoff(g, Transfer(tau, beta))
             u1, u2 = te._induced_payoffs_vec(g, taus, beta)
             assert np.max(u1 + u2) - best <= 1e-9 * (phi1 + phi2)
+
+
+def oriented(phi1, phi2, x1, x2):
+    """The same parameters as an oriented unit-adversary game."""
+    return (phi2, phi1, x2, x1) if phi2 * x1 > phi1 * x2 else (phi1, phi2, x1, x2)
+
+
+def assert_bits_equal(actual, expected):
+    """Equal element for element, the sign of zero included."""
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def assert_march_matches_scalar(phi1, phi2, x1, x2, betas):
+    """The array march over broadcast arrays against alliance_optimal one game at a time."""
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (phi1, phi2, x1, x2, betas)))
+    expected = []
+    # the scalar path on Python floats, as the CLI and analyze call it
+    for *args, beta in zip(*(a.ravel().tolist() for a in arrays)):
+        try:
+            expected.append(alliance_optimal(GameParams(*args), beta))
+        except te.InternalInconsistencyError as scalar:
+            # the array march stops at the same first losing game
+            with pytest.raises(te.InternalInconsistencyError) as array:
+                te._alliance_optimal_vec(*arrays)
+            assert array.value.diagnostics == scalar.diagnostics
+            return
+    tau, gain = te._alliance_optimal_vec(*arrays)
+    assert_bits_equal(tau.ravel(), [t for t, _ in expected])
+    assert_bits_equal(gain.ravel(), [g for _, g in expected])
+
+
+unit_betas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+# numpy's floating-point warnings are RuntimeWarnings; "error" alone would also
+# trip a DeprecationWarning that hypothesis's pytest plugin raises on import
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestArrayMarch:
+    """_alliance_optimal_vec equals the scalar alliance_optimal bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_uniform, log_uniform, log_uniform, log_uniform, st.lists(unit_betas, min_size=1, max_size=6))
+    def test_matches_scalar_over_twelve_decades(self, phi1, phi2, x1, x2, betas):
+        assert_march_matches_scalar(*oriented(phi1, phi2, x1, x2), np.array(betas))
+
+    def test_one_call_over_mixed_games(self, rng):
+        params = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=(3000, 4)))
+        games = np.array([oriented(*p) for p in params.tolist()])
+        betas = rng.uniform(0.0, 1.0, size=3000)
+        betas[::5] = 1.0
+        assert_march_matches_scalar(*games.T, betas)
+
+    def test_proportional_ray_and_frame_edge(self):
+        # phi2*x1 == phi1*x2 exactly, on both sides of x1 + x2 = 1, and one
+        # ulp either side of the ray (in frame on one side only)
+        x1 = np.array([0.05, 0.25, 0.5, 1.0, 3.0])
+        for phi1, phi2, x2 in [(1.0, 1.0, x1), (2.0, 1.0, x1 / 2.0), (1.0, 4.0, 4.0 * x1)]:
+            for off in (x2, np.nextafter(x2, np.inf)):
+                assert_march_matches_scalar(phi1, phi2, x1[:, None], off[:, None], [0.05, 0.3, 0.9, 1.0])
+        # the in-frame cells of a raster next to its frame edge, the diagonal
+        x = 0.05 + (3.0 - 0.05) * np.arange(60) / 59
+        x1_grid, x2_grid = np.meshgrid(x, x)
+        edge = (x1_grid <= x2_grid) & (x2_grid - x1_grid <= 2 * (3.0 - 0.05) / 59)
+        assert_march_matches_scalar(1.0, 1.0, x1_grid[edge], x2_grid[edge], np.array([[0.3], [0.9]]))
+
+    def test_smallest_beta(self):
+        # beta*beta and r*beta underflow, so one seed quadratic turns linear
+        assert_march_matches_scalar(1.0, 0.3, 0.2, 0.9, [5e-324, 1e-300, 1e-160])
+
+    def test_beta_outside_unit_interval(self):
+        for beta in (0.0, 1.5):
+            with pytest.raises(ValueError, match="beta"):
+                te._alliance_optimal_vec(1.0, 1.2, 0.5, 1.5, [0.5, beta])
+
+    def test_losing_transfer_raises_as_the_scalar_march(self, monkeypatch):
+        # donating almost all of player 2's budget loses at beta 0.1
+        monkeypatch.setattr(te, "_march_alliance", lambda *args: 1.4)
+        monkeypatch.setattr(te, "_march_alliance_vec", lambda phi1, phi2, x1, x2, beta: np.full_like(x1, 1.4))
+        with pytest.raises(te.InternalInconsistencyError) as scalar:
+            alliance_optimal(G1, 0.1)
+        with pytest.raises(te.InternalInconsistencyError) as array:
+            te._alliance_optimal_vec(G1.phi1, G1.phi2, G1.x1, G1.x2, [0.05, 0.1])
+        assert array.value.diagnostics == scalar.value.diagnostics
+        assert str(array.value) == str(scalar.value)
+
+    def test_mapped_to_the_callers_frame(self):
+        # swapped and xa map tau back as alliance_optimal does, zeros included
+        g = GameParams(1.2, 1.0, 4.5, 1.5, adversary_budget=3.0)
+        gn, orientation = normalize(g)
+        betas = np.array([0.01, 0.05, 0.3, 1.0])
+        tau, gain = te._alliance_optimal_vec(
+            gn.phi1, gn.phi2, gn.x1, gn.x2, betas, orientation.swapped, g.adversary_budget
+        )
+        expected = [alliance_optimal(g, b) for b in betas.tolist()]
+        assert orientation.swapped and expected[0] == (0.0, 0.0)
+        assert_bits_equal(tau, [t for t, _ in expected])
+        assert_bits_equal(gain, [v for _, v in expected])
+
+
+class TestThresholdRange:
+    """The mutual-benefit threshold rejects games whose phi1*x2**3 leaves the float range."""
+
+    @pytest.mark.parametrize(
+        "params, how",
+        [((1e300, 1e-300, 1e300, 1e-300), "underflows to 0"), ((1.0, 1.0, 1e200, 1e200), "overflows")],
+    )
+    def test_scalar_and_array_raise_the_same_error(self, params, how):
+        with pytest.raises(ValueError, match=how) as scalar:
+            te._mb_threshold_f(*params)
+        phi1, phi2, x1, x2 = params
+        with pytest.raises(ValueError, match=how) as array:
+            te._mb_threshold_vec(phi1, phi2, np.array([1.0, x1]), np.array([1.0, x2]))
+        assert str(array.value) == str(scalar.value)
+        with pytest.raises(ValueError, match=how):
+            analyze(GameParams(*params), 0.5)
+
+    def test_array_threshold_matches_scalar(self, rng):
+        params = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=(2000, 4)))
+        games = np.array([oriented(*p) for p in params.tolist()])
+        assert_bits_equal(te._mb_threshold_vec(*games.T), [te._mb_threshold_f(*g) for g in games.tolist()])
