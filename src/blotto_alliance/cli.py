@@ -238,9 +238,7 @@ def _parse_beta_list(raw: str) -> tuple[float, ...]:
         raise CliError(f"malformed beta list {raw!r}") from exc
     if not betas:
         raise CliError("beta list must be nonempty")
-    for b in betas:
-        if not (0.0 < b <= 1.0):
-            raise CliError(f"beta values must lie in (0, 1], got {b}")
+    transfer_engine._check_beta(*betas)
     return betas
 
 

@@ -56,12 +56,10 @@ def payoff_vec(player_budget, adversary_budget, total_value: float | np.ndarray)
     """
     x = np.asarray(player_budget, dtype=float)
     xa = np.asarray(adversary_budget, dtype=float)
-    safe_xa = np.where(xa > 0.0, xa, 1.0)
-    safe_x = np.where(x > 0.0, x, 1.0)
-    weak = total_value * x / (2.0 * safe_xa)
-    strong = total_value * (1.0 - xa / (2.0 * safe_x))
-    out = np.where(x <= xa, weak, strong)
-    return np.where(xa == 0.0, total_value, out)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero budget's branch is never selected
+        weak = total_value * x / (2.0 * xa)
+        strong = total_value * (1.0 - xa / (2.0 * x))
+    return np.where(xa == 0.0, total_value, np.where(x <= xa, weak, strong))
 
 
 __all__ = ["LottoInstance", "equilibrium_payoff", "payoff", "payoff_vec"]

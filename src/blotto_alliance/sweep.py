@@ -20,15 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from blotto_alliance.adversary_response import Case, GameParams, _classify_f, normalize
+from blotto_alliance.adversary_response import Case, GameParams, _classify_vec, normalize
 from blotto_alliance.transfer_engine import (
     _alliance_optimal_vec,
     _check_beta,
     _domain_grid,
     _induced_payoffs,
     _induced_payoffs_vec,
-    _mb_threshold_f,
-    _mutual_benefit_vec,
+    _mb_exists_rule,
+    _mb_threshold_vec,
+    _mutual_benefit_f,
     _tau_bounds,
 )
 
@@ -68,9 +69,7 @@ class SweepGrid:
             raise ValueError(f"swept parameters overlap fixed ones: {sorted(overlap)}")
         if not self.beta_list:
             raise ValueError("beta_list must be nonempty")
-        for b in self.beta_list:
-            if not (0.0 < b <= 1.0):
-                raise ValueError(f"beta values must lie in (0, 1], got {b}")
+        _check_beta(*self.beta_list)
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ def region_raster(grid: SweepGrid) -> list[SweepCell]:
     """One cell per (beta, x2, x1) triple, row-major with x1 varying fastest.
 
     Raises ValueError, as the point path does, when an in-frame cell's
-    mutual-benefit threshold leaves the float range.
+    mutual-benefit threshold or alliance march leaves the float range.
     """
     names = {a.name for a in grid.axes}
     if names != {"x1", "x2"}:
@@ -114,10 +113,12 @@ def region_raster(grid: SweepGrid) -> list[SweepCell]:
         # the first cell with a non-finite budget, else any: GameParams names the bad field
         k = int(np.argmin(np.isfinite(x1_in) & np.isfinite(x2_in)))
         GameParams(phi1, phi2, x1_in[k].item(), x2_in[k].item())
-    case, threshold = _mutual_benefit_vec(phi1, phi2, x1_in, x2_in)
+    with np.errstate(all="ignore"):
+        case = _classify_vec(phi1, phi2, x1_in, x2_in)
+    threshold = _mb_threshold_vec(phi1, phi2, x1_in, x2_in)
     betas = np.array(grid.beta_list)[:, None]
     tau_dagger, gain = _alliance_optimal_vec(phi1, phi2, x1_in, x2_in, betas)
-    exists = ((case == 2) | (case == 3)) & (betas > threshold)
+    exists = _mb_exists_rule(case, threshold, betas)
 
     labels = [Case(c) for c in case.tolist()]
     thresholds = threshold.tolist()
@@ -205,13 +206,10 @@ def beta_sweep(
 
     gn, orientation = normalize(g)
     phi1, phi2, x1, x2 = gn.phi1, gn.phi2, gn.x1, gn.x2
-    # neither the case at zero nor the threshold depends on beta
-    case, threshold = _classify_f(phi1, phi2, x1, x2), _mb_threshold_f(phi1, phi2, x1, x2)
+    betas = lo + (hi - lo) * np.arange(steps) / (steps - 1)
+    exists = _mutual_benefit_f(phi1, phi2, x1, x2, betas)[2]
     u1_nom, u2_nom = _induced_payoffs(g, 0.0, 1.0)
     u12_nom = u1_nom + u2_nom
-
-    betas = lo + (hi - lo) * np.arange(steps) / (steps - 1)
-    exists = (case in (2, 3)) & (betas > threshold)
     tau_dag, gain = _alliance_optimal_vec(phi1, phi2, x1, x2, betas, orientation.swapped, g.adversary_budget)
     u1_dag, u2_dag = _induced_payoffs_vec(g, tau_dag, betas)
 

@@ -39,13 +39,15 @@ Closed forms implemented here:
     boundaries and the proportional band's edges, min(du1, du2) keeps its
     sign; the interval is the first improving run.
 
-The alliance march and both thresholds also run as array passes
-(_alliance_optimal_vec, _mutual_benefit_vec) over broadcast arrays of
-oriented unit-adversary games. They take the same steps in the same order,
-sharing the seed polynomials and threshold formulas with the scalar path, so
-every element equals the scalar result bit for bit, the sign of zero
-included. The region raster and the beta sweep's alliance columns use them;
-point queries (analyze, alliance_optimal) stay scalar.
+The alliance march and the mutual-benefit threshold also run as array
+passes (_alliance_optimal_vec, _mb_threshold_vec) over broadcast arrays of
+oriented unit-adversary games. Each closed-form rule is written once and
+both paths call it: the mutual-benefit rule, the transfer-domain edge, the
+seed polynomials, the stationary ratios, the alliance gain and its
+losing-transfer error. The array passes take the scalar steps in the same
+order, so every element equals the scalar result bit for bit, the sign of
+zero included. The region raster and the beta sweep use them; point
+queries (analyze, alliance_optimal) stay scalar.
 """
 
 import math
@@ -139,9 +141,9 @@ def _induced_budgets(x1: float, x2: float, tau: float, beta: float) -> tuple[flo
     return x1 + beta * (-tau), x2 - (-tau)
 
 
-def _tau_bounds(x1: float, x2: float) -> tuple[float, float]:
-    """The closed range of transfers that payoffs are evaluated at."""
-    return -x2 + max(_EDGE, _EDGE * x2), x1 - max(_EDGE, _EDGE * x1)
+def _tau_bounds(x1: float, x2: float, maximum=max) -> tuple[float, float]:
+    """The closed range of transfers that payoffs are evaluated at; arrays take maximum=np.maximum."""
+    return -x2 + maximum(_EDGE, _EDGE * x2), x1 - maximum(_EDGE, _EDGE * x1)
 
 
 def _domain_grid(x1: float, x2: float) -> np.ndarray:
@@ -241,20 +243,16 @@ def mb_beta_threshold(g: GameParams) -> float:
     return _mb_threshold_f(phi1, phi2, x1, x2)
 
 
-def _mutual_benefit_f(
-    phi1: float, phi2: float, x1: float, x2: float, beta: float
-) -> tuple[int, float, bool]:
-    """(case, threshold, exists) for an oriented unit-adversary game."""
+def _mb_exists_rule(case, threshold, beta):
+    """Mutual benefit exists iff the case is 2 or 3 and beta > threshold; floats or arrays."""
+    return ((case == 2) | (case == 3)) & (beta > threshold)
+
+
+def _mutual_benefit_f(phi1: float, phi2: float, x1: float, x2: float, beta):
+    """(case, threshold, exists) for an oriented unit-adversary game; beta may be an array."""
     case = _classify_f(phi1, phi2, x1, x2)
     threshold = _mb_threshold_f(phi1, phi2, x1, x2)
-    return case, threshold, case in (2, 3) and beta > threshold
-
-
-def _mutual_benefit_vec(phi1, phi2, x1, x2) -> tuple[np.ndarray, np.ndarray]:
-    """(case, threshold) of _mutual_benefit_f per element; exists is case in (2, 3) and beta > threshold."""
-    with np.errstate(all="ignore"):
-        case = _classify_vec(phi1, phi2, x1, x2)
-    return case, _mb_threshold_vec(phi1, phi2, x1, x2)
+    return case, threshold, _mb_exists_rule(case, threshold, beta)
 
 
 def mb_exists(g: GameParams, beta: float) -> bool:
@@ -312,9 +310,10 @@ def alliance_beta_threshold(g: GameParams) -> float | None:
     return _alliance_threshold_f(phi1, phi2, x1, x2, _classify_f(phi1, phi2, x1, x2))
 
 
-def _check_beta(beta: float) -> None:
-    if not (0.0 < beta <= 1.0):
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+def _check_beta(*betas: float) -> None:
+    for beta in betas:
+        if not (0.0 < beta <= 1.0):
+            raise ValueError(f"beta must lie in (0, 1], got {beta}")
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +331,17 @@ def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
     return [(-b - s) / (2.0 * a), (-b + s) / (2.0 * a)]
 
 
+def _seed_squares(x1, x2, power=operator.pow):
+    """The seed polynomials' squares; on floats ValueError where one overflows, on arrays inf."""
+    try:
+        return power(1.0 - x1, 2), power(1.0 - x2, 2)
+    except OverflowError:
+        raise ValueError(
+            "alliance march out of float range: (1 - x1)**2 or (1 - x2)**2 overflows "
+            f"(x1={x1!r}, x2={x2!r} against a unit adversary)"
+        ) from None
+
+
 def _seed_polynomials(phi1, phi2, x1, x2, beta, power=operator.pow):
     """The linear seed and the (a, b, c) of the four quadratics of _boundary_seeds.
 
@@ -340,19 +350,16 @@ def _seed_polynomials(phi1, phi2, x1, x2, beta, power=operator.pow):
     """
     r = phi2 / phi1
     c = phi1 / phi2
+    square1, square2 = _seed_squares(x1, x2, power)
     linear = (x2 - r * x1) / (1.0 + r * beta)
     return linear, [
         # (x1 + beta*t)(x2 - t) = cap, for cap = phi2/phi1 and phi1/phi2
         (beta, x1 - beta * x2, r - x1 * x2),
         (beta, x1 - beta * x2, c - x1 * x2),
         # c*u*v = (1 - v)^2 = (t + 1 - x2)^2
-        (c * beta + 1.0, 2.0 * (1.0 - x2) - c * (beta * x2 - x1), power(1.0 - x2, 2) - c * x1 * x2),
+        (c * beta + 1.0, 2.0 * (1.0 - x2) - c * (beta * x2 - x1), square2 - c * x1 * x2),
         # r*u*v = (1 - u)^2 = (1 - x1 - beta*t)^2
-        (
-            beta * beta + r * beta,
-            -2.0 * beta * (1.0 - x1) - r * (beta * x2 - x1),
-            power(1.0 - x1, 2) - r * x1 * x2,
-        ),
+        (beta * beta + r * beta, -2.0 * beta * (1.0 - x1) - r * (beta * x2 - x1), square1 - r * x1 * x2),
     ]
 
 
@@ -376,6 +383,22 @@ def _boundary_seeds(
     return [t for t in seeds if 0.0 < t < t_top]
 
 
+def _segment_label(phi1: float, phi2: float, x1: float, x2: float, beta: float, t: float) -> tuple[int, bool]:
+    """(case, flipped) after a donation t, classified in the post-transfer orientation."""
+    u, v = x1 + beta * t, x2 - t
+    if phi2 * u > phi1 * v:
+        return _classify_f(phi2, phi1, v, u), True
+    return _classify_f(phi1, phi2, u, v), False
+
+
+def _stationary_ratios(phi1, phi2, x1, x2, beta, sqrt=math.sqrt):
+    """u/v where d(u1 + u2)/dt = 0 in case 2, flipped case 2 and case 3; arrays take sqrt=np.sqrt."""
+    big_k = x1 + beta * x2  # x1_bar + beta*x2_bar is invariant along donations
+    lead = beta * phi1 - phi2
+    w = (lead + sqrt(lead * lead + 4.0 * beta * phi1 * phi2)) / (2.0 * sqrt(phi1 * phi2))
+    return big_k * big_k * phi1 / phi2, beta * beta * phi1 / (phi2 * big_k * big_k), w * w
+
+
 def _march_alliance(phi1: float, phi2: float, x1: float, x2: float, beta: float) -> float:
     """Donation size t = -tau >= 0 maximizing u1 + u2 in the oriented frame.
 
@@ -388,37 +411,48 @@ def _march_alliance(phi1: float, phi2: float, x1: float, x2: float, beta: float)
     segment that does not improve all the way to its far end, or at a case 4
     point; when the payoff still improves at t_top, it returns t_top.
     """
-    big_k = x1 + beta * x2  # x1_bar + beta*x2_bar is invariant along donations
-    lead = beta * phi1 - phi2
-    w = (lead + math.sqrt(lead * lead + 4.0 * beta * phi1 * phi2)) / (2.0 * math.sqrt(phi1 * phi2))
-    stationary_ratio = {  # u/v at which d(u1 + u2)/dt = 0, by (case, flipped)
-        (2, False): big_k * big_k * phi1 / phi2,
-        (2, True): beta * beta * phi1 / (phi2 * big_k * big_k),
-        (3, False): w * w,
-        (3, True): w * w,
-    }
-
-    def label(t: float) -> tuple[int, bool]:
-        u, v = x1 + beta * t, x2 - t
-        if phi2 * u > phi1 * v:
-            return _classify_f(phi2, phi1, v, u), True
-        return _classify_f(phi1, phi2, u, v), False
-
+    ratio_2, ratio_2_flipped, ratio_3 = _stationary_ratios(phi1, phi2, x1, x2, beta)
     t_top = -_tau_bounds(x1, x2)[0]
     cuts = [0.0, *sorted(_boundary_seeds(phi1, phi2, x1, x2, beta, t_top)), t_top]
     for t_a, t_b in zip(cuts, cuts[1:]):
-        if label(t_a)[0] == 4:
+        if _segment_label(phi1, phi2, x1, x2, beta, t_a)[0] == 4:
             return t_a
-        case, flipped = label(0.5 * (t_a + t_b))
+        case, flipped = _segment_label(phi1, phi2, x1, x2, beta, 0.5 * (t_a + t_b))
         if case == 1 and not flipped:
             continue
         if case in (1, 4):
             return t_a
-        r = stationary_ratio[case, flipped]
+        r = ratio_3 if case == 3 else ratio_2_flipped if flipped else ratio_2
         t = (r * x2 - x1) / (beta + r)
         if t < t_b:
             return max(t, t_a)  # t <= t_a: the payoff already falls from t_a
     return t_top
+
+
+def _alliance_gain(phi1, phi2, x1, x2, beta, t, payoffs=_payoffs_any_f):
+    """The gain in u1 + u2 of a donation t, and whether it loses; arrays take payoffs=_payoffs_vec."""
+    u1, u2 = payoffs(phi1, phi2, x1 + beta * t, x2 - t)
+    u1_base, u2_base = payoffs(phi1, phi2, x1, x2)
+    gain = (u1 + u2) - (u1_base + u2_base)
+    return gain, gain < -1e-9 * (phi1 + phi2)
+
+
+def _losing_transfer(phi1, phi2, x1, x2, beta, t, gain) -> InternalInconsistencyError:
+    return InternalInconsistencyError(
+        "alliance march produced a losing transfer",
+        {"phi1": phi1, "phi2": phi2, "x1": x1, "x2": x2, "beta": beta, "t": t, "gain": gain},
+    )
+
+
+def _alliance_optimal_f(phi1, phi2, x1, x2, beta, swapped: bool, xa: float) -> tuple[bool, float, float]:
+    """(in_g_dagger, tau, gain) for an oriented unit-adversary game, tau in the caller's frame."""
+    if _in_g_dagger_f(phi1, phi2, x1, x2, beta):
+        return True, 0.0, 0.0
+    t_dag = _march_alliance(phi1, phi2, x1, x2, beta)
+    gain, losing = _alliance_gain(phi1, phi2, x1, x2, beta, t_dag)
+    if losing:
+        raise _losing_transfer(phi1, phi2, x1, x2, beta, t_dag, gain)
+    return False, (t_dag if swapped else -t_dag) * xa, max(gain, 0.0)
 
 
 def alliance_optimal(g: GameParams, beta: float) -> tuple[float, float]:
@@ -429,21 +463,8 @@ def alliance_optimal(g: GameParams, beta: float) -> tuple[float, float]:
     in the oriented frame) and the gain is positive.
     """
     _check_beta(beta)
-    gn, orientation = normalize(g)
-    phi1, phi2, x1, x2 = gn.phi1, gn.phi2, gn.x1, gn.x2
-    if _in_g_dagger_f(phi1, phi2, x1, x2, beta):
-        return 0.0, 0.0
-    t_dag = _march_alliance(phi1, phi2, x1, x2, beta)
-    gain = sum(_induced_payoffs(gn, -t_dag, beta)) - sum(_induced_payoffs(gn, 0.0, beta))
-    if gain < -1e-9 * (phi1 + phi2):
-        raise InternalInconsistencyError(
-            "alliance march produced a losing transfer",
-            {"phi1": phi1, "phi2": phi2, "x1": x1, "x2": x2, "beta": beta, "t": t_dag, "gain": gain},
-        )
-    gain = max(gain, 0.0)
-    tau_oriented = -t_dag
-    tau_raw = (-tau_oriented if orientation.swapped else tau_oriented) * g.adversary_budget
-    return tau_raw, gain
+    phi1, phi2, x1, x2, swapped = _oriented_floats(g)
+    return _alliance_optimal_f(phi1, phi2, x1, x2, beta, swapped, g.adversary_budget)[1:]
 
 
 def _quadratic_roots_vec(a, b, c) -> tuple[np.ndarray, np.ndarray]:
@@ -464,18 +485,12 @@ def _march_alliance_vec(phi1, phi2, x1, x2, beta) -> np.ndarray:
     with t_top after the last of them and +inf after that; each step of the
     walk labels one segment of every element still marching.
     """
-    t_top = -(-x2 + np.maximum(_EDGE, _EDGE * x2))
+    t_top = -_tau_bounds(x1, x2, np.maximum)[0]
     linear, quadratics = _seed_polynomials(phi1, phi2, x1, x2, beta, np.float_power)
     seeds = np.stack([linear, *(root for q in quadratics for root in _quadratic_roots_vec(*q))], axis=1)
     seeds[~((0.0 < seeds) & (seeds < t_top[:, None]))] = np.inf
     cuts = np.sort(np.column_stack([np.zeros_like(t_top), seeds, t_top]), axis=1)
-
-    big_k = x1 + beta * x2
-    lead = beta * phi1 - phi2
-    w = (lead + np.sqrt(lead * lead + 4.0 * beta * phi1 * phi2)) / (2.0 * np.sqrt(phi1 * phi2))
-    ratio_2 = big_k * big_k * phi1 / phi2
-    ratio_2_flipped = beta * beta * phi1 / (phi2 * big_k * big_k)
-    ratio_3 = w * w
+    ratio_2, ratio_2_flipped, ratio_3 = _stationary_ratios(phi1, phi2, x1, x2, beta, np.sqrt)
 
     def label(i, t):
         u, v = x1[i] + beta[i] * t, x2[i] - t
@@ -506,32 +521,26 @@ def _alliance_optimal_vec(phi1, phi2, x1, x2, beta, swapped: bool = False, xa: f
     The five arguments broadcast against each other; (tau, gain) come back
     in their broadcast shape, tau mapped to the caller's frame by swapped
     and xa as alliance_optimal maps it. Rounding that overflows or divides
-    by zero stays silent, as it does on Python floats.
+    by zero stays silent, as it does on Python floats; an element outside
+    G-dagger whose seed squares overflow raises the scalar march's
+    ValueError, in element order with the losing-transfer check.
     """
+    _check_beta(*np.asarray(beta, dtype=float).ravel().tolist())
     args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (phi1, phi2, x1, x2, beta)))
     shape = args[0].shape
     phi1, phi2, x1, x2, beta = (v.ravel() for v in args)
-    bad_beta = beta[~((0.0 < beta) & (beta <= 1.0))]
-    if bad_beta.size:
-        _check_beta(bad_beta[0].item())
     with np.errstate(all="ignore"):
         dagger = _in_g_dagger_vec(phi1, phi2, x1, x2, beta)
+        overflow = np.logical_or(*map(np.isinf, _seed_squares(x1, x2, np.float_power)))
         t_dag = _march_alliance_vec(phi1, phi2, x1, x2, beta)
-        u1, u2 = _payoffs_vec(phi1, phi2, x1 + beta * t_dag, x2 - t_dag)
-        u1_base, u2_base = _payoffs_vec(phi1, phi2, x1, x2)
-    gain = (u1 + u2) - (u1_base + u2_base)
-    losing = np.flatnonzero(~dagger & (gain < -1e-9 * (phi1 + phi2)))
-    if losing.size:
-        k = losing[0]
-        raise InternalInconsistencyError(
-            "alliance march produced a losing transfer",
-            {
-                "phi1": phi1[k].item(), "phi2": phi2[k].item(), "x1": x1[k].item(), "x2": x2[k].item(),
-                "beta": beta[k].item(), "t": t_dag[k].item(), "gain": gain[k].item(),
-            },
-        )
-    tau_oriented = -t_dag
-    tau = np.where(dagger, 0.0, (-tau_oriented if swapped else tau_oriented) * xa)
+        gain, losing = _alliance_gain(phi1, phi2, x1, x2, beta, t_dag, _payoffs_vec)
+    bad = np.flatnonzero(~dagger & (overflow | losing))
+    if bad.size:
+        k = bad[0]
+        if overflow[k]:
+            _seed_squares(x1[k].item(), x2[k].item())  # raises the scalar march's ValueError
+        raise _losing_transfer(*(v[k].item() for v in (phi1, phi2, x1, x2, beta, t_dag, gain)))
+    tau = np.where(dagger, 0.0, (t_dag if swapped else -t_dag) * xa)
     # max(gain, 0.0): a difference of equal sums is +0.0, so no -0.0 reaches here
     gain = np.where(dagger | (gain < 0.0), 0.0, gain)
     return tau.reshape(shape), gain.reshape(shape)
@@ -589,8 +598,7 @@ def _mb_interval_oriented(
     edges = [0.0, *sorted(edges), t_top]
     cuts = edges.copy()
     for t_a, t_b in zip(edges, edges[1:]):
-        u, v = _induced_budgets(x1, x2, -0.5 * (t_a + t_b), beta)
-        case = _classify_f(*((phi2, phi1, v, u) if phi2 * u > phi1 * v else (phi1, phi2, u, v)))
+        case = _segment_label(phi1, phi2, x1, x2, beta, 0.5 * (t_a + t_b))[0]
         for eq_case, a, b, c in equations:
             if eq_case == case:
                 # the first segment's formulas meet u0 exactly at t = 0: drop c's rounding
@@ -642,14 +650,14 @@ def analyze(g: GameParams, beta: float) -> TransferAnalysis:
     case, threshold, exists = _mutual_benefit_f(phi1, phi2, x1, x2, beta)
 
     interval, anomaly = _mb_interval_oriented(phi1, phi2, x1, x2, beta) if exists else (None, False)
-    alliance_tau, gain = alliance_optimal(g, beta)
+    dagger, tau, gain = _alliance_optimal_f(phi1, phi2, x1, x2, beta, orientation.swapped, g.adversary_budget)
     return TransferAnalysis(
         mb_exists=exists,
         mb_interval=_map_interval(interval, orientation.swapped, g.adversary_budget),
         mb_beta_threshold=threshold,
-        alliance_tau=alliance_tau,
+        alliance_tau=tau,
         alliance_payoff_gain=gain,
-        in_g_dagger=_in_g_dagger_f(phi1, phi2, x1, x2, beta),
+        in_g_dagger=dagger,
         case_at_zero=Case(case),
         orientation=orientation,
         mb_interval_anomaly=anomaly,

@@ -14,6 +14,8 @@ G1_FLAGS = ["--phi1", "1", "--phi2", "1.2", "--x1", "0.5", "--x2", "1.5"]
 G1_XA_FLAGS = ["--phi1", "1", "--phi2", "1.2", "--x1", "1.5", "--x2", "4.5", "--xa", "3"]
 # G1 with the players exchanged, so analysis runs in the swapped frame
 G1_SWAPPED_FLAGS = ["--phi1", "1.2", "--phi2", "1", "--x1", "1.5", "--x2", "0.5"]
+# the error of an alliance march whose seed polynomials leave the float range
+SEED_OVERFLOW = "(1 - x1)**2 or (1 - x2)**2 overflows (x1=1e+200, x2=1.0 against a unit adversary)"
 
 # sha256 of stdout for fixed commands. The behaviour contract is identical
 # bytes: a change that moves a digit here must name it and say why. The
@@ -215,6 +217,13 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and f"phi1*x2**3 {how}" in err
 
+    def test_seed_square_overflow_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "analyze", "--phi1", "1e300", "--phi2", "1", "--x1", "1e200", "--x2", "1", "--beta", "0.5"
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and SEED_OVERFLOW in err
+
     def test_bad_beta_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", *G1_FLAGS, "--beta", "1.5")
         assert code == 2
@@ -307,6 +316,22 @@ class TestRegion:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "phi1*x2**3 underflows to 0" in err
 
+    def test_seed_square_overflow_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "region", "--phi1", "1e300", "--phi2", "1", "--beta-list", "0.5",
+            "--x1-min", "1e200", "--x1-max", "2e200", "--x2-min", "1", "--x2-max", "2", "--resolution", "2",
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and SEED_OVERFLOW in err
+
+    def test_beta_list_outside_unit_interval_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "region", "--phi1", "1.2", "--phi2", "1", "--beta-list", "0.5,1.5",
+            "--x1-min", "0.2", "--x1-max", "1.2", "--x2-min", "0.2", "--x2-max", "1.2", "--resolution", "6",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: beta must lie in (0, 1], got 1.5\n"
+
     @pytest.mark.parametrize("name", ["region-wide", "region-case-4-diagonal"])
     def test_no_warning_in_a_fresh_process(self, name):
         import subprocess
@@ -351,6 +376,14 @@ class TestBetaSweep:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "phi1*x2**3 underflows to 0" in err
 
+    def test_seed_square_overflow_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "beta-sweep", "--phi1", "1e300", "--phi2", "1", "--x1", "1e200",
+            "--x2", "1", "--beta-min", "0.1", "--beta-max", "0.5", "--steps", "2",
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and SEED_OVERFLOW in err
+
     def test_beta_range_outside_unit_interval_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "beta-sweep", *G1_FLAGS,
@@ -365,6 +398,11 @@ class TestVerify:
         "verify", "--trials", "2", "--seed", "7",
         "--tau-step", "2e-3", "--split-step", "2e-3", "--beta-list", "0.3,1.0",
     ]
+
+    def test_beta_list_outside_unit_interval_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--trials", "1", "--beta-list", "0.5,0")
+        assert code == 2 and out == ""
+        assert err == "error: beta must lie in (0, 1], got 0.0\n"
 
     def test_small_run_passes(self, capsys):
         code, out, _ = run_cli(capsys, *self.VERIFY_FLAGS)

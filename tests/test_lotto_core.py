@@ -76,6 +76,8 @@ class TestProperties:
         assert payoff(c * x, c * xa, phi) == pytest.approx(payoff(x, xa, phi), rel=1e-12)
 
 
+# the zero-budget branches are computed and discarded; no warning may leak
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestVectorized:
     def test_matches_scalar(self, rng):
         x = rng.uniform(0.0, 5.0, size=300)

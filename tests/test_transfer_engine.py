@@ -31,7 +31,7 @@ from blotto_alliance.transfer_engine import (
     mb_interval,
     payoffs_at,
 )
-from support import CASE1_GAME, CASE3_GAME, CASE4_GAME, G1, log_uniform, random_oriented_game
+from support import CASE1_GAME, CASE3_GAME, CASE4_GAME, G1, log_uniform, oriented_params, random_oriented_game
 
 # exact optima for G1 derived from the case-4 crossing of the donation path:
 # the proportional point (x2 - r*x1) / (1 + r*beta) with r = phi2/phi1
@@ -169,6 +169,29 @@ class TestMutualBenefitExists:
             beta = float(rng.uniform(0.05, 1.0))
             if mb_exists(g, beta):
                 assert not in_g_dagger(g, beta)
+
+
+class TestSharedRules:
+    """The rules the scalar and array paths share give equal bits on either input."""
+
+    def test_mutual_benefit_over_an_array_of_betas(self, rng):
+        for _ in range(300):
+            game = [float(v) for v in oriented_params(rng)]
+            # a beta equal to the threshold is not above it
+            betas = np.append(rng.uniform(0.0, 1.0, size=20), [1.0, te._mb_threshold_f(*game)])
+            case, threshold, exists = te._mutual_benefit_f(*game, betas)
+            scalar = [te._mutual_benefit_f(*game, b) for b in betas.tolist()]
+            assert all(type(verdict) is bool for _, _, verdict in scalar)
+            assert {(c, t) for c, t, _ in scalar} == {(case, threshold)}
+            np.testing.assert_array_equal(exists, [verdict for _, _, verdict in scalar])
+
+    def test_tau_bounds_over_arrays(self, rng):
+        x1, x2 = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=(2, 4000)))
+        x1[:3], x2[:3] = [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)], 1.0
+        lo, hi = te._tau_bounds(x1, x2, np.maximum)
+        scalar = [te._tau_bounds(a, b) for a, b in zip(x1.tolist(), x2.tolist())]
+        assert_bits_equal(lo, [v for v, _ in scalar])
+        assert_bits_equal(hi, [v for _, v in scalar])
 
 
 class TestMutualBenefitInterval:
@@ -483,11 +506,12 @@ def assert_march_matches_scalar(phi1, phi2, x1, x2, betas):
     for *args, beta in zip(*(a.ravel().tolist() for a in arrays)):
         try:
             expected.append(alliance_optimal(GameParams(*args), beta))
-        except te.InternalInconsistencyError as scalar:
-            # the array march stops at the same first losing game
-            with pytest.raises(te.InternalInconsistencyError) as array:
+        except (te.InternalInconsistencyError, ValueError) as scalar:
+            # the array march stops at the same first failing game
+            with pytest.raises(type(scalar)) as array:
                 te._alliance_optimal_vec(*arrays)
-            assert array.value.diagnostics == scalar.diagnostics
+            assert getattr(array.value, "diagnostics", None) == getattr(scalar, "diagnostics", None)
+            assert str(array.value) == str(scalar)
             return
     tau, gain = te._alliance_optimal_vec(*arrays)
     assert_bits_equal(tau.ravel(), [t for t, _ in expected])
@@ -583,3 +607,37 @@ class TestThresholdRange:
         params = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=(2000, 4)))
         games = np.array([oriented(*p) for p in params.tolist()])
         assert_bits_equal(te._mb_threshold_vec(*games.T), [te._mb_threshold_f(*g) for g in games.tolist()])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSeedRange:
+    """The alliance march rejects games whose seed squares (1 - x)**2 overflow."""
+
+    OVERFLOW = (1e300, 1.0, 1e200, 1.0)  # (1 - x1)**2 overflows; phi1*x2**3 does not
+
+    def test_scalar_and_array_raise_the_same_error(self):
+        with pytest.raises(ValueError, match=r"\(1 - x1\)\*\*2 or \(1 - x2\)\*\*2 overflows") as scalar:
+            alliance_optimal(GameParams(*self.OVERFLOW), 0.5)
+        assert "x1=1e+200, x2=1.0" in str(scalar.value)
+        phi1, phi2, x1, x2 = self.OVERFLOW
+        assert_march_matches_scalar(phi1, phi2, [0.5, x1], x2, 0.5)
+        assert_march_matches_scalar(1.0, 1e-300, 1.0, [1.5, 1e200], 0.5)
+        with pytest.raises(ValueError, match="overflows"):
+            analyze(GameParams(*self.OVERFLOW), 0.5)
+
+    def test_array_skips_games_in_g_dagger(self):
+        # a case-4 game is in G-dagger, so the scalar march never runs on it
+        assert alliance_optimal(GameParams(1.0, 1.0, 1e200, 1e200), 0.5) == (0.0, 0.0)
+        tau, gain = te._alliance_optimal_vec(1.0, 1.0, 1e200, 1e200, [0.5, 1.0])
+        assert_bits_equal(tau, [0.0, 0.0])
+        assert_bits_equal(gain, [0.0, 0.0])
+        assert_march_matches_scalar([1.0, 1e300], 1.0, [1e200, 1e200], [1e200, 1.0], 0.5)
+
+    def test_in_element_order_with_the_losing_transfer(self, monkeypatch):
+        # donating 1.4 loses for G1 at beta 0.1 (see TestArrayMarch)
+        monkeypatch.setattr(te, "_march_alliance_vec", lambda phi1, phi2, x1, x2, beta: np.full_like(x1, 1.4))
+        games = np.array([(G1.phi1, G1.phi2, G1.x1, G1.x2), self.OVERFLOW])
+        with pytest.raises(te.InternalInconsistencyError):
+            te._alliance_optimal_vec(*games.T, 0.1)
+        with pytest.raises(ValueError, match="overflows"):
+            te._alliance_optimal_vec(*games[::-1].T, 0.1)
