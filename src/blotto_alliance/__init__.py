@@ -14,7 +14,6 @@ from blotto_alliance.adversary_response import (
     AdversaryResponse,
     Case,
     GameParams,
-    Orientation,
     PayoffProfile,
     classify,
     normalize,
@@ -45,7 +44,6 @@ __all__ = [
     "Case",
     "GameParams",
     "LottoInstance",
-    "Orientation",
     "PayoffProfile",
     "PostTransferBudgets",
     "Transfer",

@@ -56,13 +56,6 @@ class GameParams:
 
 
 @dataclass(frozen=True)
-class Orientation:
-    """Records whether player indices were exchanged to reach the oriented frame."""
-
-    swapped: bool
-
-
-@dataclass(frozen=True)
 class PayoffProfile:
     """Equilibrium payoffs of the two players and the adversary (valuation units)."""
 
@@ -78,21 +71,18 @@ class AdversaryResponse:
     x_a2: float
 
 
-def normalize(raw: GameParams) -> tuple[GameParams, Orientation]:
+def normalize(raw: GameParams) -> tuple[GameParams, bool]:
     """Scale budgets so the adversary holds 1, and swap indices if needed.
 
     The returned game satisfies adversary_budget == 1 and
-    phi2/phi1 <= x2/x1 (cross-multiplied to avoid division); the Orientation
-    flag records whether players 1 and 2 were exchanged.
+    phi2/phi1 <= x2/x1 (cross-multiplied to avoid division); the returned
+    bool, swapped, records whether players 1 and 2 were exchanged.
     """
     xa = raw.adversary_budget
     x1, x2 = raw.x1 / xa, raw.x2 / xa
     if raw.phi2 * x1 > raw.phi1 * x2:
-        return (
-            GameParams(phi1=raw.phi2, phi2=raw.phi1, x1=x2, x2=x1),
-            Orientation(swapped=True),
-        )
-    return GameParams(phi1=raw.phi1, phi2=raw.phi2, x1=x1, x2=x2), Orientation(swapped=False)
+        return GameParams(phi1=raw.phi2, phi2=raw.phi1, x1=x2, x2=x1), True
+    return GameParams(phi1=raw.phi1, phi2=raw.phi2, x1=x1, x2=x2), False
 
 
 def _require_normalized_oriented(g: GameParams) -> None:
@@ -103,42 +93,27 @@ def _require_normalized_oriented(g: GameParams) -> None:
         raise ValueError("game must be oriented: phi2/phi1 <= x2/x1 is violated")
 
 
-def _is_proportional(phi1: float, phi2: float, x1: float, x2: float) -> bool:
+def _response_f(phi1: float, phi2: float, x1: float, x2: float) -> tuple[int, float]:
+    """(case, split) of an oriented unit-adversary game: a plain-int label, the allocation to front 1."""
     a, b = phi2 * x1, phi1 * x2
-    return abs(a - b) <= PROPORTIONAL_RTOL * max(a, b)
-
-
-def _classify_f(phi1: float, phi2: float, x1: float, x2: float) -> int:
-    """Case label for an oriented unit-adversary game, as a plain int."""
-    proportional = _is_proportional(phi1, phi2, x1, x2)
+    proportional = abs(a - b) <= PROPORTIONAL_RTOL * max(a, b)
     if proportional and x1 + x2 >= 1.0:
-        return 4
+        return 4, x1 / (x1 + x2)
     if not proportional and phi2 / phi1 <= x1 * x2:
-        return 1
-    # Reaching here forces sqrt(phi1*x1*x2/phi2) < 1: with phi2/phi1 > x1*x2
-    # that is immediate, and a proportional game with x1 + x2 < 1 has
-    # q = x1 < 1.
+        return 1, 1.0
+    # Reaching here forces q < 1: with phi2/phi1 > x1*x2 that is immediate,
+    # and a proportional game with x1 + x2 < 1 has q = x1 < 1.
     q = math.sqrt(phi1 * x1 * x2 / phi2)
-    return 2 if 1.0 - q <= x2 else 3
-
-
-def _split_f(phi1: float, phi2: float, x1: float, x2: float, case: int) -> float:
-    """Adversary's optimal allocation to front 1, given the case label."""
-    if case == 1:
-        return 1.0
-    if case == 2:
-        return math.sqrt(phi1 * x1 * x2 / phi2)
-    if case == 3:
-        s1 = math.sqrt(phi1 * x1)
-        s2 = math.sqrt(phi2 * x2)
-        return s1 / (s1 + s2)
-    return x1 / (x1 + x2)
+    if 1.0 - q <= x2:
+        return 2, q
+    s1 = math.sqrt(phi1 * x1)
+    s2 = math.sqrt(phi2 * x2)
+    return 3, s1 / (s1 + s2)
 
 
 def _payoffs_f(phi1: float, phi2: float, x1: float, x2: float) -> tuple[float, float]:
     """Player payoffs (u1, u2) for an oriented unit-adversary game."""
-    case = _classify_f(phi1, phi2, x1, x2)
-    a = _split_f(phi1, phi2, x1, x2, case)
+    a = _response_f(phi1, phi2, x1, x2)[1]
     return lotto_core.payoff(x1, a, phi1), lotto_core.payoff(x2, 1.0 - a, phi2)
 
 
@@ -152,7 +127,10 @@ def _payoffs_any_f(phi1: float, phi2: float, x1: float, x2: float) -> tuple[floa
 
 # Array kernel: the scalar functions above over numpy arrays of budgets with
 # scalar valuations, element for element in the same order of operations, so
-# every element equals its scalar counterpart bit for bit.
+# every element equals its scalar counterpart bit for bit. _response_f is
+# split in two: _classify_vec returns the case with q = sqrt(phi1*x1*x2/phi2),
+# and _split_vec takes that q as the case-2 split, so the march's labels,
+# which need only the case, skip the split.
 
 
 def _orient_vec(phi1: float, phi2: float, x1: np.ndarray, x2: np.ndarray):
@@ -167,21 +145,22 @@ def _orient_vec(phi1: float, phi2: float, x1: np.ndarray, x2: np.ndarray):
     )
 
 
-def _classify_vec(phi1, phi2, x1, x2) -> np.ndarray:
-    """_classify_f per element of oriented arrays; case 4 takes precedence."""
+def _classify_vec(phi1, phi2, x1, x2) -> tuple[np.ndarray, np.ndarray]:
+    """(case, q) per element of oriented arrays, the case as _response_f's; case 4 takes precedence."""
     a, b = phi2 * x1, phi1 * x2
     proportional = np.abs(a - b) <= PROPORTIONAL_RTOL * np.maximum(a, b)
-    case = np.where(1.0 - np.sqrt(phi1 * x1 * x2 / phi2) <= x2, 2, 3)
+    q = np.sqrt(phi1 * x1 * x2 / phi2)
+    case = np.where(1.0 - q <= x2, 2, 3)
     case[~proportional & (phi2 / phi1 <= x1 * x2)] = 1
     case[proportional & (x1 + x2 >= 1.0)] = 4
-    return case
+    return case, q
 
 
-def _split_vec(phi1, phi2, x1, x2, case: np.ndarray) -> np.ndarray:
-    """_split_f per element of oriented arrays."""
+def _split_vec(phi1, phi2, x1, x2, case: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """_response_f's split per element of oriented arrays, given _classify_vec's (case, q)."""
     s1 = np.sqrt(phi1 * x1)
     s2 = np.sqrt(phi2 * x2)
-    a = np.where(case == 2, np.sqrt(phi1 * x1 * x2 / phi2), s1 / (s1 + s2))
+    a = np.where(case == 2, q, s1 / (s1 + s2))
     a[case == 1] = 1.0
     return np.where(case == 4, x1 / (x1 + x2), a)
 
@@ -189,7 +168,7 @@ def _split_vec(phi1, phi2, x1, x2, case: np.ndarray) -> np.ndarray:
 def _payoffs_vec(phi1: float, phi2: float, x1: np.ndarray, x2: np.ndarray):
     """_payoffs_any_f per element: player payoffs (u1, u2) of unit-adversary games."""
     flipped, p1, p2, y1, y2 = _orient_vec(phi1, phi2, x1, x2)
-    a = _split_vec(p1, p2, y1, y2, _classify_vec(p1, p2, y1, y2))
+    a = _split_vec(p1, p2, y1, y2, *_classify_vec(p1, p2, y1, y2))
     v1 = lotto_core.payoff_vec(y1, a, p1)
     v2 = lotto_core.payoff_vec(y2, 1.0 - a, p2)
     return np.where(flipped, v2, v1), np.where(flipped, v1, v2)
@@ -203,14 +182,13 @@ def classify(g: GameParams) -> Case:
     returned for every positive parameter tuple.
     """
     _require_normalized_oriented(g)
-    return Case(_classify_f(g.phi1, g.phi2, g.x1, g.x2))
+    return Case(_response_f(g.phi1, g.phi2, g.x1, g.x2)[0])
 
 
 def optimal_split(g: GameParams) -> AdversaryResponse:
     """The adversary's optimal division of its unit budget between the fronts."""
     _require_normalized_oriented(g)
-    case = _classify_f(g.phi1, g.phi2, g.x1, g.x2)
-    x_a1 = _split_f(g.phi1, g.phi2, g.x1, g.x2, case)
+    case, x_a1 = _response_f(g.phi1, g.phi2, g.x1, g.x2)
     return AdversaryResponse(case_label=Case(case), x_a1=x_a1, x_a2=1.0 - x_a1)
 
 
@@ -237,7 +215,6 @@ __all__ = [
     "AdversaryResponse",
     "Case",
     "GameParams",
-    "Orientation",
     "PROPORTIONAL_RTOL",
     "PayoffProfile",
     "classify",

@@ -252,7 +252,7 @@ def cmd_analyze(args) -> int:
     beta = _require(args, "beta")
     analysis = transfer_engine.analyze(game, beta)
     nominal = transfer_engine.payoffs_at(game, Transfer(tau=0.0, beta=beta))
-    gn, orientation = normalize(game)
+    gn, swapped = normalize(game)
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -263,7 +263,7 @@ def cmd_analyze(args) -> int:
         },
         "normalized_game": {
             "phi1": gn.phi1, "phi2": gn.phi2, "x1": gn.x1, "x2": gn.x2,
-            "swapped": orientation.swapped,
+            "swapped": swapped,
         },
         "case_at_zero": int(analysis.case_at_zero),
         "nominal_payoffs": {
@@ -388,10 +388,7 @@ def sample_game(rng: np.random.Generator) -> GameParams:
     """One oriented game, parameters log-uniform in [0.05, 5], off case boundaries."""
     lo, hi = math.log(0.05), math.log(5.0)
     while True:
-        phi1, phi2, x1, x2 = np.exp(rng.uniform(lo, hi, size=4))
-        if phi2 * x1 > phi1 * x2:
-            phi1, phi2, x1, x2 = phi2, phi1, x2, x1
-        g = GameParams(float(phi1), float(phi2), float(x1), float(x2))
+        g = normalize(GameParams(*np.exp(rng.uniform(lo, hi, size=4)).tolist()))[0]
         if _boundary_distance(g) >= BOUNDARY_MARGIN:
             return g
 

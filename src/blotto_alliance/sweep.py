@@ -22,6 +22,8 @@ import numpy as np
 
 from blotto_alliance.adversary_response import Case, GameParams, _classify_vec, normalize
 from blotto_alliance.transfer_engine import (
+    InternalInconsistencyError,
+    _alliance_optimal_f,
     _alliance_optimal_vec,
     _check_beta,
     _domain_grid,
@@ -89,7 +91,8 @@ def region_raster(grid: SweepGrid) -> list[SweepCell]:
     """One cell per (beta, x2, x1) triple, row-major with x1 varying fastest.
 
     Raises ValueError, as the point path does, when an in-frame cell's
-    mutual-benefit threshold or alliance march leaves the float range.
+    mutual-benefit threshold or alliance march leaves the float range; the
+    error is the point path's own for the first failing cell in that order.
     """
     names = {a.name for a in grid.axes}
     if names != {"x1", "x2"}:
@@ -114,10 +117,18 @@ def region_raster(grid: SweepGrid) -> list[SweepCell]:
         k = int(np.argmin(np.isfinite(x1_in) & np.isfinite(x2_in)))
         GameParams(phi1, phi2, x1_in[k].item(), x2_in[k].item())
     with np.errstate(all="ignore"):
-        case = _classify_vec(phi1, phi2, x1_in, x2_in)
-    threshold = _mb_threshold_vec(phi1, phi2, x1_in, x2_in)
+        case = _classify_vec(phi1, phi2, x1_in, x2_in)[0]
     betas = np.array(grid.beta_list)[:, None]
-    tau_dagger, gain = _alliance_optimal_vec(phi1, phi2, x1_in, x2_in, betas)
+    try:
+        threshold = _mb_threshold_vec(phi1, phi2, x1_in, x2_in)
+        tau_dagger, gain = _alliance_optimal_vec(phi1, phi2, x1_in, x2_in, betas)
+    except (ValueError, InternalInconsistencyError):
+        # the two array passes each name their own first failure; the point path names the raster's
+        for beta in grid.beta_list:
+            for x1, x2 in zip(x1_in.tolist(), x2_in.tolist()):
+                _mutual_benefit_f(phi1, phi2, x1, x2, beta)
+                _alliance_optimal_f(phi1, phi2, x1, x2, beta, False, 1.0)
+        raise
     exists = _mb_exists_rule(case, threshold, betas)
 
     labels = [Case(c) for c in case.tolist()]
@@ -204,13 +215,13 @@ def beta_sweep(
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
 
-    gn, orientation = normalize(g)
+    gn, swapped = normalize(g)
     phi1, phi2, x1, x2 = gn.phi1, gn.phi2, gn.x1, gn.x2
     betas = lo + (hi - lo) * np.arange(steps) / (steps - 1)
     exists = _mutual_benefit_f(phi1, phi2, x1, x2, betas)[2]
     u1_nom, u2_nom = _induced_payoffs(g, 0.0, 1.0)
     u12_nom = u1_nom + u2_nom
-    tau_dag, gain = _alliance_optimal_vec(phi1, phi2, x1, x2, betas, orientation.swapped, g.adversary_budget)
+    tau_dag, gain = _alliance_optimal_vec(phi1, phi2, x1, x2, betas, swapped, g.adversary_budget)
     u1_dag, u2_dag = _induced_payoffs_vec(g, tau_dag, betas)
 
     taus = np.append(_domain_grid(g.x1, g.x2), 0.0)

@@ -60,14 +60,13 @@ from blotto_alliance.adversary_response import (
     PROPORTIONAL_RTOL,
     Case,
     GameParams,
-    Orientation,
     PayoffProfile,
-    _classify_f,
     _classify_vec,
     _orient_vec,
     _payoffs_any_f,
     _payoffs_f,
     _payoffs_vec,
+    _response_f,
     normalize,
 )
 
@@ -113,7 +112,7 @@ class TransferAnalysis:
 
     Transfer quantities (interval endpoints, alliance_tau) are expressed in
     the caller's frame and budget units; case_at_zero refers to the oriented
-    normalized game recorded in `orientation`.
+    normalized game, which exchanges the players when `swapped` is True.
     """
 
     mb_exists: bool
@@ -123,7 +122,7 @@ class TransferAnalysis:
     alliance_payoff_gain: float
     in_g_dagger: bool
     case_at_zero: Case
-    orientation: Orientation
+    swapped: bool
     mb_interval_anomaly: bool = False
 
 
@@ -192,8 +191,8 @@ def alliance_payoff(g: GameParams, t: Transfer) -> float:
 
 
 def _oriented_floats(g: GameParams) -> tuple[float, float, float, float, bool]:
-    gn, orientation = normalize(g)
-    return gn.phi1, gn.phi2, gn.x1, gn.x2, orientation.swapped
+    gn, swapped = normalize(g)
+    return gn.phi1, gn.phi2, gn.x1, gn.x2, swapped
 
 
 def _mb_threshold_branches(phi1, phi2, x1, x2, cube, sqrt=math.sqrt):
@@ -250,7 +249,7 @@ def _mb_exists_rule(case, threshold, beta):
 
 def _mutual_benefit_f(phi1: float, phi2: float, x1: float, x2: float, beta):
     """(case, threshold, exists) for an oriented unit-adversary game; beta may be an array."""
-    case = _classify_f(phi1, phi2, x1, x2)
+    case = _response_f(phi1, phi2, x1, x2)[0]
     threshold = _mb_threshold_f(phi1, phi2, x1, x2)
     return case, threshold, _mb_exists_rule(case, threshold, beta)
 
@@ -285,7 +284,7 @@ def _alliance_threshold_f(
 
 
 def _in_g_dagger_f(phi1: float, phi2: float, x1: float, x2: float, beta: float) -> bool:
-    case = _classify_f(phi1, phi2, x1, x2)
+    case = _response_f(phi1, phi2, x1, x2)[0]
     threshold = _alliance_threshold_f(phi1, phi2, x1, x2, case)
     if threshold is None:
         return case == 4
@@ -294,7 +293,7 @@ def _in_g_dagger_f(phi1: float, phi2: float, x1: float, x2: float, beta: float) 
 
 def _in_g_dagger_vec(phi1, phi2, x1, x2, beta) -> np.ndarray:
     """_in_g_dagger_f per element of oriented unit-adversary arrays."""
-    case = _classify_vec(phi1, phi2, x1, x2)
+    case = _classify_vec(phi1, phi2, x1, x2)[0]
     below = [beta <= _alliance_threshold_f(phi1, phi2, x1, x2, c, np.sqrt) for c in (2, 3)]
     return (case == 4) | ((case == 2) & below[0]) | ((case == 3) & below[1])
 
@@ -307,7 +306,7 @@ def alliance_beta_threshold(g: GameParams) -> float | None:
     the zero-transfer-optimal set, and may fall outside (0, 1].
     """
     phi1, phi2, x1, x2, _ = _oriented_floats(g)
-    return _alliance_threshold_f(phi1, phi2, x1, x2, _classify_f(phi1, phi2, x1, x2))
+    return _alliance_threshold_f(phi1, phi2, x1, x2, _response_f(phi1, phi2, x1, x2)[0])
 
 
 def _check_beta(*betas: float) -> None:
@@ -387,8 +386,8 @@ def _segment_label(phi1: float, phi2: float, x1: float, x2: float, beta: float, 
     """(case, flipped) after a donation t, classified in the post-transfer orientation."""
     u, v = x1 + beta * t, x2 - t
     if phi2 * u > phi1 * v:
-        return _classify_f(phi2, phi1, v, u), True
-    return _classify_f(phi1, phi2, u, v), False
+        return _response_f(phi2, phi1, v, u)[0], True
+    return _response_f(phi1, phi2, u, v)[0], False
 
 
 def _stationary_ratios(phi1, phi2, x1, x2, beta, sqrt=math.sqrt):
@@ -495,7 +494,7 @@ def _march_alliance_vec(phi1, phi2, x1, x2, beta) -> np.ndarray:
     def label(i, t):
         u, v = x1[i] + beta[i] * t, x2[i] - t
         flipped, *oriented = _orient_vec(phi1[i], phi2[i], u, v)
-        return _classify_vec(*oriented), flipped
+        return _classify_vec(*oriented)[0], flipped
 
     t_dag = t_top.copy()  # where every segment improves to its far end
     live = np.arange(t_top.size)
@@ -645,21 +644,20 @@ def _map_interval(
 def analyze(g: GameParams, beta: float) -> TransferAnalysis:
     """Complete transfer analysis of a raw game at one efficiency value."""
     _check_beta(beta)
-    gn, orientation = normalize(g)
-    phi1, phi2, x1, x2 = gn.phi1, gn.phi2, gn.x1, gn.x2
+    phi1, phi2, x1, x2, swapped = _oriented_floats(g)
     case, threshold, exists = _mutual_benefit_f(phi1, phi2, x1, x2, beta)
 
     interval, anomaly = _mb_interval_oriented(phi1, phi2, x1, x2, beta) if exists else (None, False)
-    dagger, tau, gain = _alliance_optimal_f(phi1, phi2, x1, x2, beta, orientation.swapped, g.adversary_budget)
+    dagger, tau, gain = _alliance_optimal_f(phi1, phi2, x1, x2, beta, swapped, g.adversary_budget)
     return TransferAnalysis(
         mb_exists=exists,
-        mb_interval=_map_interval(interval, orientation.swapped, g.adversary_budget),
+        mb_interval=_map_interval(interval, swapped, g.adversary_budget),
         mb_beta_threshold=threshold,
         alliance_tau=tau,
         alliance_payoff_gain=gain,
         in_g_dagger=dagger,
         case_at_zero=Case(case),
-        orientation=orientation,
+        swapped=swapped,
         mb_interval_anomaly=anomaly,
     )
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from blotto_alliance.adversary_response import GameParams, _classify_f
+from blotto_alliance.adversary_response import GameParams, _response_f
 
 # Hypothesis draws of one positive parameter, log-uniform over twelve decades.
 log_uniform = st.floats(min_value=math.log(1e-6), max_value=math.log(1e6)).map(math.exp)
@@ -47,5 +47,5 @@ def random_game_of_case(rng: np.random.Generator, case: int) -> GameParams:
             return GameParams(phi1, phi1 * x2 / x1, x1, x2)
     while True:
         g = random_oriented_game(rng)
-        if _classify_f(g.phi1, g.phi2, g.x1, g.x2) == case:
+        if _response_f(g.phi1, g.phi2, g.x1, g.x2)[0] == case:
             return g

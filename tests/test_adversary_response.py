@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from blotto_alliance.adversary_response import (
     Case,
     GameParams,
-    Orientation,
-    _classify_f,
+    _classify_vec,
+    _orient_vec,
     _payoffs_any_f,
     _payoffs_vec,
+    _response_f,
+    _split_vec,
     classify,
     mirror,
     normalize,
@@ -25,20 +27,20 @@ from support import CASE1_GAME, CASE3_GAME, CASE4_GAME, G1, log_uniform, random_
 
 class TestNormalize:
     def test_already_normalized_and_oriented(self):
-        gn, orientation = normalize(G1)
+        gn, swapped = normalize(G1)
         assert gn == G1
-        assert orientation == Orientation(swapped=False)
+        assert swapped is False
 
     def test_swaps_mirrored_game(self):
-        gn, orientation = normalize(GameParams(1.2, 1.0, 1.5, 0.5))
+        gn, swapped = normalize(GameParams(1.2, 1.0, 1.5, 0.5))
         assert gn == G1
-        assert orientation.swapped
+        assert swapped is True
 
     def test_scales_budgets_by_adversary(self):
         raw = GameParams(2.0, 2.4, 1.0, 3.0, adversary_budget=2.0)
-        gn, orientation = normalize(raw)
+        gn, swapped = normalize(raw)
         assert gn == GameParams(2.0, 2.4, 0.5, 1.5)
-        assert not orientation.swapped
+        assert swapped is False
 
     @pytest.mark.parametrize("bad", [
         dict(phi1=0.0), dict(phi2=-1.0), dict(x1=0.0), dict(x2=-2.0), dict(adversary_budget=0.0),
@@ -199,9 +201,9 @@ class TestMirror:
     def test_mirror_swaps_players(self):
         m = mirror(G1)
         assert (m.phi1, m.phi2, m.x1, m.x2) == (1.2, 1.0, 1.5, 0.5)
-        gn, orientation = normalize(m)
+        gn, swapped = normalize(m)
         assert gn == G1
-        assert orientation.swapped
+        assert swapped is True
 
 
 def boundary_budgets(phi1, phi2, xs, pairs=()):
@@ -232,8 +234,8 @@ def boundary_budgets(phi1, phi2, xs, pairs=()):
 def march_label(phi1, phi2, u, v):
     """The alliance march's label of one induced game: orient, then classify."""
     if phi2 * u > phi1 * v:
-        return _classify_f(phi2, phi1, v, u), True
-    return _classify_f(phi1, phi2, u, v), False
+        return _response_f(phi2, phi1, v, u)[0], True
+    return _response_f(phi1, phi2, u, v)[0], False
 
 
 def assert_kernel_matches_scalar(phi1, phi2, x1, x2):
@@ -244,12 +246,25 @@ def assert_kernel_matches_scalar(phi1, phi2, x1, x2):
     np.testing.assert_array_equal(u2, [e[1] for e in expected])
 
 
+def assert_twins_match_scalar(phi1, phi2, x1, x2):
+    """_classify_vec's (case, q) and _split_vec's split against _response_f, by repr so -0.0 counts."""
+    _, p1, p2, y1, y2 = _orient_vec(phi1, phi2, x1, x2)
+    case, q = _classify_vec(p1, p2, y1, y2)
+    split = _split_vec(p1, p2, y1, y2, case, q)
+    games = list(zip(p1.tolist(), p2.tolist(), y1.tolist(), y2.tolist()))
+    expected = [_response_f(*game) for game in games]
+    assert case.tolist() == [c for c, _ in expected]
+    assert [repr(a) for a in split.tolist()] == [repr(a) for _, a in expected]
+    assert [repr(v) for v in q.tolist()] == [repr(math.sqrt(a * c * d / b)) for a, b, c, d in games]
+
+
 class TestArrayKernel:
-    """_payoffs_vec equals the scalar _payoffs_any_f bit for bit."""
+    """The array kernel equals the scalar table and _payoffs_any_f bit for bit."""
 
     def test_boundaries_reach_every_label(self):
         x1, x2 = boundary_budgets(1.0, 1.2, [0.05, 0.3, 0.7, 1.5, 4.0])
         assert_kernel_matches_scalar(1.0, 1.2, x1, x2)
+        assert_twins_match_scalar(1.0, 1.2, x1, x2)
         seen = {march_label(1.0, 1.2, a, b) for a, b in zip(x1.tolist(), x2.tolist())}
         assert seen >= {(c, f) for c in (1, 2, 3, 4) for f in (False, True)}
 
@@ -261,4 +276,6 @@ class TestArrayKernel:
         st.lists(st.tuples(log_uniform, log_uniform), max_size=6),
     )
     def test_matches_scalar_over_wide_range(self, phi1, phi2, xs, pairs):
-        assert_kernel_matches_scalar(phi1, phi2, *boundary_budgets(phi1, phi2, xs, pairs))
+        x1, x2 = boundary_budgets(phi1, phi2, xs, pairs)
+        assert_kernel_matches_scalar(phi1, phi2, x1, x2)
+        assert_twins_match_scalar(phi1, phi2, x1, x2)

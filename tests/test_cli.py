@@ -324,6 +324,15 @@ class TestRegion:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and SEED_OVERFLOW in err
 
+    def test_names_the_first_failing_cell_as_analyze_does(self, capsys):
+        # the cell at x2=1e+103 would overflow the threshold, but the first cell's march fails first
+        code, out, err = run_cli(
+            capsys, "region", "--phi1", "1e300", "--phi2", "1", "--beta-list", "0.5",
+            "--x1-min", "1e200", "--x1-max", "2e200", "--x2-min", "1", "--x2-max", "1e103", "--resolution", "2",
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and SEED_OVERFLOW in err
+
     def test_beta_list_outside_unit_interval_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "region", "--phi1", "1.2", "--phi2", "1", "--beta-list", "0.5,1.5",

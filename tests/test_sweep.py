@@ -160,6 +160,21 @@ class TestRegionRaster:
             te._mb_threshold_f(1.0, 1.0, 1e-120, 1e-110)
         assert str(array.value) == str(scalar.value)
 
+    def test_first_failing_cell_is_the_point_paths(self):
+        # the first cell's march overflows; a later cell's threshold overflows as well
+        grid = SweepGrid(
+            axes=(Axis("x1", 1e200, 2e200, 2), Axis("x2", 1.0, 1e103, 2)),
+            fixed={"phi1": 1e300, "phi2": 1.0},
+            beta_list=(0.5,),
+        )
+        with pytest.raises(ValueError, match="alliance march") as array:
+            region_raster(grid)
+        with pytest.raises(ValueError) as scalar:
+            scalar_region_raster(grid)
+        with pytest.raises(ValueError) as point:
+            te.analyze(GameParams(1e300, 1.0, 1e200, 1.0), 0.5)
+        assert str(array.value) == str(scalar.value) == str(point.value)
+
     def test_configuration_errors(self):
         with pytest.raises(ValueError, match="steps"):
             Axis("x1", 0.1, 1.0, 1)
