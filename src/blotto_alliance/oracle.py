@@ -13,13 +13,20 @@ Lotto payoff is convex and non-increasing in the adversary's allocation
 (phi*(1 - a/(2x)) up to a = x, phi*x/(2a) beyond, with matching slopes at
 a = x), so f is convex in j: its forward difference f(j+1) - f(j) never
 decreases, and the first j at which it stops being negative is the first
-minimizer. transfer_grid_scan finds that j by bisecting all tau rows at
-once, O(log n) per row. A single row, as in adversary_grid_best_response,
-is enumerated over all n + 1 splits instead: one vectorized pass over
-1,001 splits costs less than the ten dependent numpy steps of a bisection.
-The enumeration is also the reference the bisection is tested against.
-Where f is flat (proportional games in which both players are strong) the
-two can pick different splits among ties equal to rounding.
+minimizer. transfer_grid_scan finds that j by bisection, O(log n) per
+row, warm-started across its tau rows: neighbouring rows have nearly the
+same split, so only every 32nd row is bisected over all splits, and every
+other row starts from a split interpolated between them. A guess is kept
+only under a certificate, a margin far above rounding on both sides of it,
+that proves by convexity that the full bisection would return the same
+split; the few rows it rejects are bisected near the guess, then over all
+splits (see _bisect_rows). A single row, as in
+adversary_grid_best_response, is enumerated over all n + 1 splits instead:
+one vectorized pass over 1,001 splits costs less than the ten dependent
+numpy steps of a bisection. The enumeration stays the reference for single
+rows and the one the bisection is tested against. Where f is flat
+(proportional games in which both players are strong) the two can pick
+different splits among ties equal to rounding.
 
 Slack is estimated by finite differences: the variation of each payoff over
 one split step at the chosen split, and the variation of the relevant
@@ -44,6 +51,15 @@ THRESHOLD_BAND = 1e-3
 
 # Floor added to every slack, so that no verdict turns on rounding alone.
 TOLERANCE = 1e-9
+
+# The scan's warm start (see _bisect_rows): every WARM_STRIDE-th tau row is
+# bisected in full, the rows between start from an interpolated guess, a
+# rejected guess is bisected within WARM_BRACKET splits of itself, and a
+# guess is kept only when its neighbours lie CERTIFICATE_MARGIN*(phi1 + phi2)
+# above it, far beyond rounding.
+WARM_STRIDE = 32
+WARM_BRACKET = 16
+CERTIFICATE_MARGIN = 1e-14
 
 
 @dataclass(frozen=True)
@@ -131,27 +147,85 @@ def _enumerate_rows(
 def _bisect_rows(
     phi1: float, phi2: float, x1b: np.ndarray, x2b: np.ndarray, n_split: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The same best response as _enumerate_rows, by bisection: O(log n) per row.
+    """The same best response as _enumerate_rows, by bisection, warm-started.
 
-    All rows are bisected together for the first j with f(j+1) >= f(j),
-    which is the first minimizer because f is convex (see the module
-    docstring).
+    The split index of a row is that of a plain bisection over [0, n] for the
+    first j with f(j+1) >= f(j), which is the first minimizer because f is
+    convex (see the module docstring). Every WARM_STRIDE-th row and the last
+    are bisected so. Every other row starts from a guess g interpolated
+    between its two neighbouring bisected rows, and keeps it when g is
+    certified: (g == 0 or f(g-1) - f(g) > M) and (g == n or f(g+1) - f(g) > M),
+    with M = CERTIFICATE_MARGIN*(phi1 + phi2). A rejected guess is bisected
+    within [g - WARM_BRACKET, g + WARM_BRACKET], clipped to [0, n], and its
+    result certified again; a row that fails twice is bisected over [0, n].
+
+    A certified g is the plain bisection's own answer, bit for bit:
+
+    - payoff_vec is within 2.01u*phi of the exact payoff at its float
+      arguments (u = 2**-53), and the sum of the two fronts adds one rounding,
+      so each computed f(j) is within 3.02u*(phi1 + phi2) of the exact
+      L1(x1b, a[j]) + L2(x2b, b[j]). b[j] = 1 - a[j] is exact for a[j] >= 1/2;
+      below that it is off by at most u/2, on allocations above 1/2 where
+      |dL2/da| <= phi2. So f(j) is within e = 3.52u*(phi1 + phi2) of
+      G(a[j]) = L1(x1b, a[j]) + L2(x2b, 1 - a[j]).
+    - G is convex and the a[j] increase, so the slopes
+      (G(a[j+1]) - G(a[j]))/(a[j+1] - a[j]) never decrease in j, and the
+      steps a[j+1] - a[j] agree to a relative 4n*u. M = 1e-14*(phi1 + phi2)
+      is over 25e, so the certificate's exact differences exceed M - 2e in
+      size, and for any n below 1e14 every G(a[j+1]) - G(a[j]) is below
+      -(M - 2e)(1 - 4n*u) < -2e for j < g and above 2e for j >= g. (The
+      certificate's differences are rounded too, but rounding is monotone
+      and M is a float, so a rounded difference above M is one exactly.)
+    - So the rounded predicate f(j+1) >= f(j) is false for every j < g and
+      true for every j >= g, the bisection over [0, n] returns g, and a[g],
+      u1 and u2 are the same bits.
+
+    A guess on a stretch of two or more splits where f is flat within
+    rounding (case 4) is never certified, so such a row falls back to the
+    full bisection and lands on the same tie as it.
     """
     a = np.linspace(0.0, 1.0, n_split + 1)
     b = 1.0 - a
+    margin = CERTIFICATE_MARGIN * (phi1 + phi2)
 
-    def combined(j):
-        return lotto_core.payoff_vec(x1b, a[j], phi1) + lotto_core.payoff_vec(x2b, b[j], phi2)
+    def combined(x1, x2, j):
+        return lotto_core.payoff_vec(x1, a[j], phi1) + lotto_core.payoff_vec(x2, b[j], phi2)
 
-    lo = np.zeros(x1b.size, dtype=np.intp)
-    hi = np.full(x1b.size, n_split, dtype=np.intp)
-    while (open_rows := lo < hi).any():
-        mid = (lo + hi) // 2
-        # mid < hi <= n on open rows; closed rows are clamped and left as they are
-        rising = combined(np.minimum(mid + 1, n_split)) >= combined(mid)
-        hi = np.where(open_rows & rising, mid, hi)
-        lo = np.where(open_rows & ~rising, mid + 1, lo)
-    return a[lo], lotto_core.payoff_vec(x1b, a[lo], phi1), lotto_core.payoff_vec(x2b, b[lo], phi2)
+    def bisect(x1, x2, lo, hi):
+        # the first j in [lo, hi] with f(j+1) >= f(j), or hi
+        while (open_rows := lo < hi).any():
+            mid = (lo + hi) // 2
+            # mid < hi <= n on open rows; closed rows are clamped and left as they are
+            rising = combined(x1, x2, np.minimum(mid + 1, n_split)) >= combined(x1, x2, mid)
+            hi = np.where(open_rows & rising, mid, hi)
+            lo = np.where(open_rows & ~rising, mid + 1, lo)
+        return lo
+
+    def certified(x1, x2, j):
+        f = combined(x1, x2, j)
+        falls = (j == 0) | (combined(x1, x2, np.maximum(j - 1, 0)) - f > margin)
+        rises = (j == n_split) | (combined(x1, x2, np.minimum(j + 1, n_split)) - f > margin)
+        return falls & rises
+
+    def full(rows):
+        return bisect(x1b[rows], x2b[rows], np.zeros_like(rows), np.full_like(rows, n_split))
+
+    is_knot = np.zeros(x1b.size, dtype=bool)
+    is_knot[::WARM_STRIDE] = True
+    is_knot[-1:] = True
+    knots, rest = np.flatnonzero(is_knot), np.flatnonzero(~is_knot)
+    j = np.empty(x1b.size, dtype=np.intp)
+    j[knots] = full(knots)
+    x1, x2 = x1b[rest], x2b[rest]
+    guess = np.rint(np.interp(rest, knots, j[knots])).astype(np.intp)
+    bad = np.flatnonzero(~certified(x1, x2, guess))
+    lo = np.maximum(guess[bad] - WARM_BRACKET, 0)
+    hi = np.minimum(guess[bad] + WARM_BRACKET, n_split)
+    guess[bad] = bisect(x1[bad], x2[bad], lo, hi)
+    bad = bad[~certified(x1[bad], x2[bad], guess[bad])]
+    j[rest] = guess
+    j[rest[bad]] = full(rest[bad])
+    return a[j], lotto_core.payoff_vec(x1b, a[j], phi1), lotto_core.payoff_vec(x2b, b[j], phi2)
 
 
 def adversary_grid_best_response(

@@ -1,5 +1,6 @@
-"""Grid oracle: enumeration examples, bisection against enumeration, convergence,
-and independence from closed forms."""
+"""Grid oracle: enumeration examples, bisection against enumeration, the warm
+start against the full bisection, convergence, and independence from closed
+forms."""
 
 import ast
 import inspect
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blotto_alliance.oracle as oracle_module
-from blotto_alliance import adversary_response, transfer_engine
+from blotto_alliance import adversary_response, lotto_core, transfer_engine
 from blotto_alliance.cli import DEFAULT_VERIFY_BETAS, FIXED_SEED_GAMES, closed_form_summary
 from blotto_alliance.oracle import (
     OracleConfig,
@@ -68,6 +69,33 @@ def assert_bisection_matches_enumeration(phi1, phi2, x1b, x2b, n_split, rows_per
     return ties
 
 
+def full_bisection(phi1, phi2, x1b, x2b, n_split):
+    """The scan's split search without its warm start: every row bisected over [0, n]."""
+    a = np.linspace(0.0, 1.0, n_split + 1)
+    b = 1.0 - a
+
+    def combined(j):
+        return lotto_core.payoff_vec(x1b, a[j], phi1) + lotto_core.payoff_vec(x2b, b[j], phi2)
+
+    lo = np.zeros(x1b.size, dtype=np.intp)
+    hi = np.full(x1b.size, n_split, dtype=np.intp)
+    while (open_rows := lo < hi).any():
+        mid = (lo + hi) // 2
+        rising = combined(np.minimum(mid + 1, n_split)) >= combined(mid)
+        hi = np.where(open_rows & rising, mid, hi)
+        lo = np.where(open_rows & ~rising, mid + 1, lo)
+    return a[lo], lotto_core.payoff_vec(x1b, a[lo], phi1), lotto_core.payoff_vec(x2b, b[lo], phi2)
+
+
+def assert_warm_start_matches_full_bisection(phi1, phi2, x1b, x2b, n_split):
+    """_bisect_rows against full_bisection: a*, u1 and u2 with the same bits, sign of zero included."""
+    got = oracle_module._bisect_rows(phi1, phi2, x1b, x2b, n_split)
+    want = full_bisection(phi1, phi2, x1b, x2b, n_split)
+    for name, g, w in zip(("a_star", "u1", "u2"), got, want):
+        np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64), err_msg=name)
+    return got
+
+
 class TestBisectionAgainstEnumeration:
     """transfer_grid_scan bisects each tau row; single rows are enumerated."""
 
@@ -91,8 +119,9 @@ class TestBisectionAgainstEnumeration:
             x1b, x2b = g.x1 * scale, g.x2 * scale
             ties = assert_bisection_matches_enumeration(g.phi1, g.phi2, x1b, x2b, 1000)
             assert ties > 0, "rounding on the flat stretch should leave tied minimizers"
+            # a guess on a flat stretch is never certified, so these rows reach the full bisection
+            a_star, _, _ = assert_warm_start_matches_full_bisection(g.phi1, g.phi2, x1b, x2b, 1000)
             # one split step off the flat stretch already costs far more than rounding
-            a_star, _, _ = oracle_module._bisect_rows(g.phi1, g.phi2, x1b, x2b, 1000)
             assert np.all(a_star >= 1.0 - x2b - 1e-12), g
             assert np.all(a_star <= x1b + 1e-12), g
 
@@ -112,10 +141,46 @@ class TestBisectionAgainstEnumeration:
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_random_rows(self, log_phi1, log_phi2, n_split, seed):
+        # unsorted budgets: interpolated guesses miss, so rows reach the bracket and full fallbacks
         budgets = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, size=(2, 64))
-        assert_bisection_matches_enumeration(
-            10.0**log_phi1, 10.0**log_phi2, budgets[0], budgets[1], n_split
-        )
+        phi1, phi2 = 10.0**log_phi1, 10.0**log_phi2
+        assert_bisection_matches_enumeration(phi1, phi2, budgets[0], budgets[1], n_split)
+        assert_warm_start_matches_full_bisection(phi1, phi2, budgets[0], budgets[1], n_split)
+
+
+class TestWarmStart:
+    """The scan's warm-started bisection gives the full bisection's bits on every row."""
+
+    @pytest.mark.parametrize("label", sorted(FIXED_SEED_GAMES))
+    def test_every_row_of_the_audit_grid(self, label):
+        g = FIXED_SEED_GAMES[label]
+        for beta in DEFAULT_VERIFY_BETAS:
+            _, x1b, x2b, _ = oracle_module._tau_grid(g, beta, OracleConfig())
+            assert_warm_start_matches_full_bisection(g.phi1, g.phi2, x1b, x2b, 1000)
+
+    def test_flat_row_9374_of_the_case_2_game_at_half_efficiency(self):
+        # a flat proportional row (phi1/x1 == phi2/x2 == 1.28) whose sampled
+        # neighbours take splits 63 and 781: the guess 736 fails, and its
+        # bracket [720, 752] bisects to 725, a strict local minimum by one
+        # rounding only; the full bisection lands on split 83
+        g = FIXED_SEED_GAMES["fixed-case-2-game"]
+        _, x1b, x2b, _ = oracle_module._tau_grid(g, 0.5, OracleConfig())
+        assert (x1b[9374], x2b[9374]) == (0.78125, 0.9375)
+        a_star, _, _ = assert_warm_start_matches_full_bisection(g.phi1, g.phi2, x1b, x2b, 1000)
+        assert a_star[9374] == np.linspace(0.0, 1.0, 1001)[83]
+
+    @pytest.mark.parametrize("rows", [1, 2, 31, 32, 33, 65])
+    def test_row_counts_around_the_stride(self, rows):
+        g = FIXED_SEED_GAMES["fixed-case-3-game"]
+        _, x1b, x2b, i0 = oracle_module._tau_grid(g, 0.8, OracleConfig())
+        sl = slice(i0 - rows // 2, i0 - rows // 2 + rows)
+        assert_warm_start_matches_full_bisection(g.phi1, g.phi2, x1b[sl], x2b[sl], 1000)
+
+    @pytest.mark.parametrize("n_split", [1, 2, 4, 1000])
+    def test_split_counts(self, n_split):
+        for g in FIXED_SEED_GAMES.values():
+            _, x1b, x2b, _ = oracle_module._tau_grid(g, 0.5, OracleConfig(tau_step=1e-3))
+            assert_warm_start_matches_full_bisection(g.phi1, g.phi2, x1b, x2b, n_split)
 
 
 class TestTransferGridScan:
