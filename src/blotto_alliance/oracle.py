@@ -69,8 +69,9 @@ class OracleConfig:
 
     def __post_init__(self):
         for name in ("tau_step", "split_step"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be strictly positive")
+            step = getattr(self, name)
+            if not 0.0 < step < math.inf:
+                raise ValueError(f"{name} must lie in (0, inf), got {step}")
 
 
 @dataclass(frozen=True)
@@ -101,19 +102,17 @@ class OracleReport:
     """Grid verdicts for one (game, beta) pair.
 
     mb_exists_grid holds only when some grid transfer improves both players
-    by more than the finite-difference slack of the enumeration; the raw
-    strict-positivity flag is kept as a diagnostic because the true best
+    by more than the finite-difference slack of the enumeration. The
+    unslacked verdict, mutual_margin > 0, is only a diagnostic: the true best
     margin tends to zero as tau -> 0 for every below-threshold game, which
-    makes an unslacked verdict resolution-dependent.
+    makes it resolution-dependent.
     """
 
     mb_exists_grid: bool
-    best_mutual_tau: float | None
     alliance_argmax_tau: float
     alliance_max: float
     disagreements: list[Disagreement] = field(default_factory=list)
     # diagnostics
-    mb_exists_grid_raw: bool = False
     mutual_margin: float = -math.inf
     positive_tau_mutual: bool = False
     alliance_gain_grid: float = 0.0
@@ -123,6 +122,8 @@ class OracleReport:
 
 
 def _n_split(split_step: float) -> int:
+    if not 0.0 < split_step < math.inf:
+        raise ValueError(f"split_step must lie in (0, inf), got {split_step}")
     return max(1, round(1.0 / split_step))
 
 
@@ -317,13 +318,6 @@ def transfer_grid_scan(
     margin = np.minimum(du1, du2)
     margin_conf = margin - (row_slack + row_slack[i0])
 
-    confident_mask = margin_conf > 0.0
-    mutual_confident = bool(confident_mask.any())
-    best_mutual_tau = None
-    if mutual_confident:
-        masked = np.where(confident_mask, margin, -np.inf)
-        best_mutual_tau = float(taus[int(np.argmax(masked))])
-
     alliance = u1 + u2
     i_star = int(np.argmax(alliance))
     alliance_max = float(alliance[i_star])
@@ -335,11 +329,9 @@ def transfer_grid_scan(
     l_tau = float(np.abs(np.diff(window)).max()) if window.size > 1 else 0.0
 
     report = OracleReport(
-        mb_exists_grid=mutual_confident,
-        best_mutual_tau=best_mutual_tau,
+        mb_exists_grid=bool((margin_conf > 0.0).any()),
         alliance_argmax_tau=float(taus[i_star]),
         alliance_max=alliance_max,
-        mb_exists_grid_raw=bool((margin > 0.0).any()),
         mutual_margin=float(margin.max()),
         positive_tau_mutual=bool((margin_conf[pos] > 0.0).any()) if pos.any() else False,
         alliance_gain_grid=alliance_max - float(alliance[i0]),

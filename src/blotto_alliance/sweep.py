@@ -8,10 +8,12 @@ a sweep over the efficiency beta tabulating attainable payoff maxima.
 Rasters depict only the oriented half plane phi2/phi1 <= x2/x1; cells on
 the other side are marked out of frame and carry no analysis fields.
 
-The raster sends every in-frame cell at every beta through one array pass of
-the alliance march, and the beta sweep sends all its beta rows through one;
-both equal the scalar point path bit for bit. The beta sweep still scans its
-transfer grid one beta row at a time.
+The raster sends every in-frame cell at every beta, and the beta sweep all
+its beta rows, through one call of the bulk analysis
+(transfer_engine._analyze_vec); both equal the scalar point path bit for
+bit, and a failing input raises the point path's own error for the first
+failing (beta, cell) or beta. The beta sweep still scans its transfer grid
+one beta row at a time.
 """
 
 import itertools
@@ -20,18 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from blotto_alliance.adversary_response import Case, GameParams, _classify_vec, normalize
+from blotto_alliance.adversary_response import Case, GameParams, normalize
 from blotto_alliance.transfer_engine import (
-    InternalInconsistencyError,
-    _alliance_optimal_f,
-    _alliance_optimal_vec,
+    _analyze_vec,
     _check_beta,
     _domain_grid,
     _induced_payoffs,
     _induced_payoffs_vec,
-    _mb_exists_rule,
-    _mb_threshold_vec,
-    _mutual_benefit_f,
     _tau_bounds,
 )
 
@@ -58,20 +55,21 @@ class Axis:
 
 @dataclass(frozen=True)
 class SweepGrid:
+    """The raster's grid: x1 and x2 swept, phi1 and phi2 fixed, one raster per beta."""
+
     axes: tuple[Axis, ...]
     fixed: dict
     beta_list: tuple[float, ...]
 
     def __post_init__(self):
-        names = [a.name for a in self.axes]
-        if len(set(names)) != len(names):
-            raise ValueError("swept axis names must be distinct")
-        overlap = set(names) & set(self.fixed)
-        if overlap:
-            raise ValueError(f"swept parameters overlap fixed ones: {sorted(overlap)}")
         if not self.beta_list:
             raise ValueError("beta_list must be nonempty")
         _check_beta(*self.beta_list)
+        names = [a.name for a in self.axes]
+        if sorted(names) != ["x1", "x2"]:
+            raise ValueError(f"region raster sweeps exactly x1 and x2, got {sorted(names)}")
+        if sorted(self.fixed) != ["phi1", "phi2"]:
+            raise ValueError(f"region raster fixes exactly phi1 and phi2, got {sorted(self.fixed)}")
 
 
 @dataclass(frozen=True)
@@ -90,15 +88,10 @@ class SweepCell:
 def region_raster(grid: SweepGrid) -> list[SweepCell]:
     """One cell per (beta, x2, x1) triple, row-major with x1 varying fastest.
 
-    Raises ValueError, as the point path does, when an in-frame cell's
-    mutual-benefit threshold or alliance march leaves the float range; the
-    error is the point path's own for the first failing cell in that order.
+    Raises the point path's error for the first failing in-frame cell in
+    that order, as when its mutual-benefit threshold or alliance march
+    leaves the float range.
     """
-    names = {a.name for a in grid.axes}
-    if names != {"x1", "x2"}:
-        raise ValueError(f"region raster sweeps exactly x1 and x2, got {sorted(names)}")
-    if set(grid.fixed) != {"phi1", "phi2"}:
-        raise ValueError(f"region raster fixes exactly phi1 and phi2, got {sorted(grid.fixed)}")
     phi1 = float(grid.fixed["phi1"])
     phi2 = float(grid.fixed["phi2"])
     if not (phi1 > 0 and phi2 > 0):
@@ -116,23 +109,14 @@ def region_raster(grid: SweepGrid) -> list[SweepCell]:
         # the first cell with a non-finite budget, else any: GameParams names the bad field
         k = int(np.argmin(np.isfinite(x1_in) & np.isfinite(x2_in)))
         GameParams(phi1, phi2, x1_in[k].item(), x2_in[k].item())
-    with np.errstate(all="ignore"):
-        case = _classify_vec(phi1, phi2, x1_in, x2_in)[0]
-    betas = np.array(grid.beta_list)[:, None]
-    try:
-        threshold = _mb_threshold_vec(phi1, phi2, x1_in, x2_in)
-        tau_dagger, gain = _alliance_optimal_vec(phi1, phi2, x1_in, x2_in, betas)
-    except (ValueError, InternalInconsistencyError):
-        # the two array passes each name their own first failure; the point path names the raster's
-        for beta in grid.beta_list:
-            for x1, x2 in zip(x1_in.tolist(), x2_in.tolist()):
-                _mutual_benefit_f(phi1, phi2, x1, x2, beta)
-                _alliance_optimal_f(phi1, phi2, x1, x2, beta, False, 1.0)
-        raise
-    exists = _mb_exists_rule(case, threshold, betas)
+    # beta rows first, so the first failing element is the raster's first failing cell
+    case, threshold, exists, tau_dagger, gain = _analyze_vec(
+        phi1, phi2, x1_in, x2_in, np.array(grid.beta_list)[:, None]
+    )
 
-    labels = [Case(c) for c in case.tolist()]
-    thresholds = threshold.tolist()
+    # the case and the threshold do not depend on beta
+    labels = [Case(c) for c in case[0].tolist()]
+    thresholds = threshold[0].tolist()
     frame = in_frame.ravel().tolist()
     cells = []
     per_beta = zip(grid.beta_list, exists.tolist(), tau_dagger.tolist(), gain.tolist())
@@ -218,10 +202,9 @@ def beta_sweep(
     gn, swapped = normalize(g)
     phi1, phi2, x1, x2 = gn.phi1, gn.phi2, gn.x1, gn.x2
     betas = lo + (hi - lo) * np.arange(steps) / (steps - 1)
-    exists = _mutual_benefit_f(phi1, phi2, x1, x2, betas)[2]
+    _, _, exists, tau_dag, gain = _analyze_vec(phi1, phi2, x1, x2, betas, swapped, g.adversary_budget)
     u1_nom, u2_nom = _induced_payoffs(g, 0.0, 1.0)
     u12_nom = u1_nom + u2_nom
-    tau_dag, gain = _alliance_optimal_vec(phi1, phi2, x1, x2, betas, swapped, g.adversary_budget)
     u1_dag, u2_dag = _induced_payoffs_vec(g, tau_dag, betas)
 
     taus = np.append(_domain_grid(g.x1, g.x2), 0.0)

@@ -39,15 +39,17 @@ Closed forms implemented here:
     boundaries and the proportional band's edges, min(du1, du2) keeps its
     sign; the interval is the first improving run.
 
-The alliance march and the mutual-benefit threshold also run as array
-passes (_alliance_optimal_vec, _mb_threshold_vec) over broadcast arrays of
-oriented unit-adversary games. Each closed-form rule is written once and
-both paths call it: the mutual-benefit rule, the transfer-domain edge, the
-seed polynomials, the stationary ratios, the alliance gain and its
-losing-transfer error. The array passes take the scalar steps in the same
-order, so every element equals the scalar result bit for bit, the sign of
-zero included. The region raster and the beta sweep use them; point
-queries (analyze, alliance_optimal) stay scalar.
+The point path, the mutual-benefit test then the alliance march, also runs
+as one array pass, _analyze_vec, over broadcast arrays of oriented
+unit-adversary games; the region raster and the beta sweep each call it
+once. Each closed-form rule is written once and both paths call it: the
+mutual-benefit rule, the transfer-domain edge, the seed polynomials, the
+stationary ratios and the alliance gain. The array pass takes the scalar
+steps in the same order, so every element equals the scalar result bit for
+bit, the sign of zero included. It only flags the games the point path
+rejects, then reruns the point path to raise that path's own error, so only
+the scalar path words a threshold-range, seed-overflow or losing-transfer
+error. Point queries (analyze, alliance_optimal) stay scalar.
 """
 
 import math
@@ -200,14 +202,6 @@ def _mb_threshold_branches(phi1, phi2, x1, x2, cube, sqrt=math.sqrt):
     return sqrt(4.0 * phi2 * x1 / cube) - x1 / x2, sqrt(4.0 * phi2 * x1 / (phi1 * x2)) + x1 / x2
 
 
-def _cube_out_of_range(cube: float, phi1: float, x2: float) -> ValueError:
-    how = "underflows to 0" if cube == 0.0 else "overflows"
-    return ValueError(
-        f"mutual-benefit threshold out of float range: phi1*x2**3 {how} "
-        f"(phi1={phi1!r}, x2={x2!r} against a unit adversary)"
-    )
-
-
 def _mb_threshold_f(phi1: float, phi2: float, x1: float, x2: float) -> float:
     """The mutual-benefit threshold; ValueError where phi1*x2**3 is 0 or overflows."""
     try:
@@ -215,21 +209,13 @@ def _mb_threshold_f(phi1: float, phi2: float, x1: float, x2: float) -> float:
     except OverflowError:
         cube = math.inf
     if not 0.0 < cube < math.inf:
-        raise _cube_out_of_range(cube, phi1, x2)
+        how = "underflows to 0" if cube == 0.0 else "overflows"
+        raise ValueError(
+            f"mutual-benefit threshold out of float range: phi1*x2**3 {how} "
+            f"(phi1={phi1!r}, x2={x2!r} against a unit adversary)"
+        )
     t_case2, t_case3 = _mb_threshold_branches(phi1, phi2, x1, x2, cube)
     return min(t_case2, t_case3)
-
-
-def _mb_threshold_vec(phi1, phi2, x1, x2) -> np.ndarray:
-    """_mb_threshold_f per element of oriented unit-adversary arrays, raising as it does."""
-    with np.errstate(all="ignore"):  # Python floats overflow silently too
-        cube = phi1 * np.float_power(x2, 3)
-        t_case2, t_case3 = _mb_threshold_branches(phi1, phi2, x1, x2, cube, np.sqrt)
-    bad = np.flatnonzero(~((cube > 0.0) & (cube < math.inf)))
-    if bad.size:
-        k = bad[0]
-        raise _cube_out_of_range(*(np.broadcast_to(v, cube.shape).flat[k].item() for v in (cube, phi1, x2)))
-    return np.where(t_case3 < t_case2, t_case3, t_case2)  # min() keeps the first on a tie
 
 
 def mb_beta_threshold(g: GameParams) -> float:
@@ -289,13 +275,6 @@ def _in_g_dagger_f(phi1: float, phi2: float, x1: float, x2: float, beta: float) 
     if threshold is None:
         return case == 4
     return beta <= threshold
-
-
-def _in_g_dagger_vec(phi1, phi2, x1, x2, beta) -> np.ndarray:
-    """_in_g_dagger_f per element of oriented unit-adversary arrays."""
-    case = _classify_vec(phi1, phi2, x1, x2)[0]
-    below = [beta <= _alliance_threshold_f(phi1, phi2, x1, x2, c, np.sqrt) for c in (2, 3)]
-    return (case == 4) | ((case == 2) & below[0]) | ((case == 3) & below[1])
 
 
 def alliance_beta_threshold(g: GameParams) -> float | None:
@@ -436,13 +415,6 @@ def _alliance_gain(phi1, phi2, x1, x2, beta, t, payoffs=_payoffs_any_f):
     return gain, gain < -1e-9 * (phi1 + phi2)
 
 
-def _losing_transfer(phi1, phi2, x1, x2, beta, t, gain) -> InternalInconsistencyError:
-    return InternalInconsistencyError(
-        "alliance march produced a losing transfer",
-        {"phi1": phi1, "phi2": phi2, "x1": x1, "x2": x2, "beta": beta, "t": t, "gain": gain},
-    )
-
-
 def _alliance_optimal_f(phi1, phi2, x1, x2, beta, swapped: bool, xa: float) -> tuple[bool, float, float]:
     """(in_g_dagger, tau, gain) for an oriented unit-adversary game, tau in the caller's frame."""
     if _in_g_dagger_f(phi1, phi2, x1, x2, beta):
@@ -450,7 +422,10 @@ def _alliance_optimal_f(phi1, phi2, x1, x2, beta, swapped: bool, xa: float) -> t
     t_dag = _march_alliance(phi1, phi2, x1, x2, beta)
     gain, losing = _alliance_gain(phi1, phi2, x1, x2, beta, t_dag)
     if losing:
-        raise _losing_transfer(phi1, phi2, x1, x2, beta, t_dag, gain)
+        raise InternalInconsistencyError(
+            "alliance march produced a losing transfer",
+            {"phi1": phi1, "phi2": phi2, "x1": x1, "x2": x2, "beta": beta, "t": t_dag, "gain": gain},
+        )
     return False, (t_dag if swapped else -t_dag) * xa, max(gain, 0.0)
 
 
@@ -514,35 +489,41 @@ def _march_alliance_vec(phi1, phi2, x1, x2, beta) -> np.ndarray:
     return t_dag
 
 
-def _alliance_optimal_vec(phi1, phi2, x1, x2, beta, swapped: bool = False, xa: float = 1.0):
-    """alliance_optimal per element of oriented unit-adversary games, bit for bit.
+def _analyze_vec(phi1, phi2, x1, x2, beta, swapped: bool = False, xa: float = 1.0):
+    """The point path, _mutual_benefit_f then _alliance_optimal_f, per element, bit for bit.
 
-    The five arguments broadcast against each other; (tau, gain) come back
-    in their broadcast shape, tau mapped to the caller's frame by swapped
-    and xa as alliance_optimal maps it. Rounding that overflows or divides
-    by zero stays silent, as it does on Python floats; an element outside
-    G-dagger whose seed squares overflow raises the scalar march's
-    ValueError, in element order with the losing-transfer check.
+    The five arguments are oriented unit-adversary games and broadcast
+    against each other; (case, threshold, mb_exists, tau, gain) come back in
+    their broadcast shape, tau mapped to the caller's frame by swapped and xa
+    as alliance_optimal maps it. Rounding that overflows stays silent, as it
+    does on Python floats. The array passes only flag the elements the point
+    path rejects; if any is flagged, the point path reruns over the elements
+    in broadcast order and raises its first error.
     """
     _check_beta(*np.asarray(beta, dtype=float).ravel().tolist())
     args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (phi1, phi2, x1, x2, beta)))
     shape = args[0].shape
     phi1, phi2, x1, x2, beta = (v.ravel() for v in args)
-    with np.errstate(all="ignore"):
-        dagger = _in_g_dagger_vec(phi1, phi2, x1, x2, beta)
+    with np.errstate(all="ignore"):  # Python floats overflow silently too
+        case = _classify_vec(phi1, phi2, x1, x2)[0]
+        cube = phi1 * np.float_power(x2, 3)
+        t_case2, t_case3 = _mb_threshold_branches(phi1, phi2, x1, x2, cube, np.sqrt)
+        threshold = np.where(t_case3 < t_case2, t_case3, t_case2)  # min() keeps the first on a tie
+        below = [beta <= _alliance_threshold_f(phi1, phi2, x1, x2, c, np.sqrt) for c in (2, 3)]
+        dagger = (case == 4) | ((case == 2) & below[0]) | ((case == 3) & below[1])
         overflow = np.logical_or(*map(np.isinf, _seed_squares(x1, x2, np.float_power)))
         t_dag = _march_alliance_vec(phi1, phi2, x1, x2, beta)
         gain, losing = _alliance_gain(phi1, phi2, x1, x2, beta, t_dag, _payoffs_vec)
-    bad = np.flatnonzero(~dagger & (overflow | losing))
-    if bad.size:
-        k = bad[0]
-        if overflow[k]:
-            _seed_squares(x1[k].item(), x2[k].item())  # raises the scalar march's ValueError
-        raise _losing_transfer(*(v[k].item() for v in (phi1, phi2, x1, x2, beta, t_dag, gain)))
+    if (~((cube > 0.0) & (cube < math.inf)) | (~dagger & (overflow | losing))).any():
+        for game in zip(*(v.tolist() for v in (phi1, phi2, x1, x2, beta))):
+            _mutual_benefit_f(*game)
+            _alliance_optimal_f(*game, swapped, xa)
+        raise InternalInconsistencyError("the array pass rejects a game that the point path accepts")
     tau = np.where(dagger, 0.0, (t_dag if swapped else -t_dag) * xa)
     # max(gain, 0.0): a difference of equal sums is +0.0, so no -0.0 reaches here
     gain = np.where(dagger | (gain < 0.0), 0.0, gain)
-    return tau.reshape(shape), gain.reshape(shape)
+    results = case, threshold, _mb_exists_rule(case, threshold, beta), tau, gain
+    return tuple(v.reshape(shape) for v in results)
 
 
 # ---------------------------------------------------------------------------

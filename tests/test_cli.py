@@ -459,6 +459,17 @@ class TestVerify:
         assert out == ""
         assert "tau_step must be smaller than both player budgets" in err
 
+    def test_infinite_split_step_exits_2_before_any_scan(self, capsys, monkeypatch):
+        from blotto_alliance import oracle
+
+        def no_scan(*args):
+            raise AssertionError("the oracle scanned with an unusable split step")
+
+        monkeypatch.setattr(oracle, "transfer_grid_scan", no_scan)
+        code, out, err = run_cli(capsys, "verify", "--trials", "1", "--split-step", "inf")
+        assert code == 2 and out == ""
+        assert err == "error: split_step must lie in (0, inf), got inf\n"
+
     def test_disagreement_exits_1_and_reports_game(self, capsys, monkeypatch):
         import dataclasses
 

@@ -38,6 +38,11 @@ class TestGridBestResponse:
         profile = adversary_response.stage_payoffs(g)
         assert abs(w_grid - profile.u_adversary) <= 1e-3
 
+    @pytest.mark.parametrize("step", [0.0, -0.5, math.inf, math.nan])
+    def test_rejects_a_split_step_outside_the_open_positive_range(self, step):
+        with pytest.raises(ValueError, match="split_step must lie in"):
+            adversary_grid_best_response(G1, split_step=step)
+
     def test_ties_take_smallest_allocation(self):
         # a game where front 1 is worthless to attack: everything at a = 0
         g = adversary_response.GameParams(1e-9, 1.0, 1e-9, 1.0)
@@ -187,9 +192,8 @@ class TestTransferGridScan:
     def test_lossless_reference_game_has_mutual_transfers(self):
         report = transfer_grid_scan(G1, 1.0, COARSE)
         assert report.mb_exists_grid
-        assert report.mb_exists_grid_raw
-        assert report.best_mutual_tau is not None
-        assert report.best_mutual_tau < 0
+        assert report.mutual_margin > 0
+        assert not report.positive_tau_mutual
 
     def test_half_efficiency_has_none(self):
         report = transfer_grid_scan(G1, 0.5, COARSE)
@@ -214,6 +218,12 @@ class TestTransferGridScan:
         report = transfer_grid_scan(G1, 1.0, fine)
         tau_dagger, _ = transfer_engine.alliance_optimal(G1, 1.0)
         assert abs(report.alliance_argmax_tau - tau_dagger) <= 1e-3
+
+    @pytest.mark.parametrize("name", ["tau_step", "split_step"])
+    @pytest.mark.parametrize("step", [0.0, -0.5, math.inf, math.nan])
+    def test_config_rejects_a_step_outside_the_open_positive_range(self, name, step):
+        with pytest.raises(ValueError, match=f"{name} must lie in"):
+            OracleConfig(**{name: step})
 
     def test_rejects_oversized_tau_step(self):
         with pytest.raises(ValueError, match="tau_step"):

@@ -182,7 +182,7 @@ class TestRegionRaster:
             Axis("x1", 2.0, 1.0, 5)
         with pytest.raises(ValueError, match="beta"):
             SweepGrid(axes=(Axis("x1", 0.1, 1.0, 3),), fixed={}, beta_list=(1.5,))
-        with pytest.raises(ValueError, match="overlap"):
+        with pytest.raises(ValueError, match="fixes exactly"):
             SweepGrid(
                 axes=(Axis("x1", 0.1, 1.0, 3), Axis("x2", 0.1, 1.0, 3)),
                 fixed={"x1": 1.0},
@@ -274,6 +274,20 @@ class TestBetaSweep:
         for beta_range, steps in [((0.05, 1.0), 20), ((0.01, 0.2), 37)]:
             rows = beta_sweep(game, beta_range, steps)
             assert reprs(rows) == reprs(scalar_beta_sweep(game, beta_range, steps))
+
+    def test_failing_rows_raise_the_point_paths_error_for_the_first_failing_beta(self, monkeypatch):
+        # a march that donates 1.4 loses for G1 outside G-dagger (see test_transfer_engine)
+        march = te._march_alliance
+        monkeypatch.setattr(te, "_march_alliance", lambda *args: (march(*args), 1.4)[1])
+        monkeypatch.setattr(te, "_march_alliance_vec", lambda phi1, phi2, x1, x2, beta: np.full_like(x1, 1.4))
+        with pytest.raises(te.InternalInconsistencyError) as swept:
+            beta_sweep(G1, (0.05, 1.0), 20)
+        betas = (0.05 + 0.95 * np.arange(20) / 19).tolist()
+        assert te.alliance_optimal(G1, betas[0]) == (0.0, 0.0)  # in G-dagger: no march, no error
+        with pytest.raises(te.InternalInconsistencyError) as point:
+            te.alliance_optimal(G1, betas[1])
+        assert swept.value.diagnostics == point.value.diagnostics
+        assert str(swept.value) == str(point.value)
 
     def test_range_validation(self):
         with pytest.raises(ValueError, match="beta range"):

@@ -508,24 +508,34 @@ def assert_bits_equal(actual, expected):
     np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
 
 
-def assert_march_matches_scalar(phi1, phi2, x1, x2, betas):
-    """The array march over broadcast arrays against alliance_optimal one game at a time."""
+def point_path(phi1, phi2, x1, x2, beta):
+    """(case, threshold, mb_exists, tau, gain) of one oriented game through the scalar point path."""
+    case, threshold, exists = te._mutual_benefit_f(phi1, phi2, x1, x2, beta)
+    return (case, threshold, exists, *alliance_optimal(GameParams(phi1, phi2, x1, x2), beta))
+
+
+def assert_analysis_matches_point_path(phi1, phi2, x1, x2, betas):
+    """_analyze_vec over broadcast arrays against the point path one game at a time.
+
+    Returns the point path's first error, which _analyze_vec must raise as it is, or None.
+    """
     arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (phi1, phi2, x1, x2, betas)))
     expected = []
     # the scalar path on Python floats, as the CLI and analyze call it
-    for *args, beta in zip(*(a.ravel().tolist() for a in arrays)):
+    for game in zip(*(a.ravel().tolist() for a in arrays)):
         try:
-            expected.append(alliance_optimal(GameParams(*args), beta))
+            expected.append(point_path(*game))
         except (te.InternalInconsistencyError, ValueError) as scalar:
-            # the array march stops at the same first failing game
+            # the array pass raises the point path's first error
             with pytest.raises(type(scalar)) as array:
-                te._alliance_optimal_vec(*arrays)
+                te._analyze_vec(*arrays)
             assert getattr(array.value, "diagnostics", None) == getattr(scalar, "diagnostics", None)
             assert str(array.value) == str(scalar)
-            return
-    tau, gain = te._alliance_optimal_vec(*arrays)
-    assert_bits_equal(tau.ravel(), [t for t, _ in expected])
-    assert_bits_equal(gain.ravel(), [g for _, g in expected])
+            return scalar
+    for actual, column in zip(te._analyze_vec(*arrays), zip(*expected)):
+        assert actual.shape == arrays[0].shape
+        assert_bits_equal(actual.ravel(), column)
+    return None
 
 
 unit_betas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
@@ -535,19 +545,19 @@ unit_betas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 # trip a DeprecationWarning that hypothesis's pytest plugin raises on import
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestArrayMarch:
-    """_alliance_optimal_vec equals the scalar alliance_optimal bit for bit."""
+    """_analyze_vec equals the scalar point path bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(log_uniform, log_uniform, log_uniform, log_uniform, st.lists(unit_betas, min_size=1, max_size=6))
     def test_matches_scalar_over_twelve_decades(self, phi1, phi2, x1, x2, betas):
-        assert_march_matches_scalar(*oriented(phi1, phi2, x1, x2), np.array(betas))
+        assert_analysis_matches_point_path(*oriented(phi1, phi2, x1, x2), np.array(betas))
 
     def test_one_call_over_mixed_games(self, rng):
         params = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=(3000, 4)))
         games = np.array([oriented(*p) for p in params.tolist()])
         betas = rng.uniform(0.0, 1.0, size=3000)
         betas[::5] = 1.0
-        assert_march_matches_scalar(*games.T, betas)
+        assert assert_analysis_matches_point_path(*games.T, betas) is None
 
     def test_proportional_ray_and_frame_edge(self):
         # phi2*x1 == phi1*x2 exactly, on both sides of x1 + x2 = 1, and one
@@ -555,21 +565,21 @@ class TestArrayMarch:
         x1 = np.array([0.05, 0.25, 0.5, 1.0, 3.0])
         for phi1, phi2, x2 in [(1.0, 1.0, x1), (2.0, 1.0, x1 / 2.0), (1.0, 4.0, 4.0 * x1)]:
             for off in (x2, np.nextafter(x2, np.inf)):
-                assert_march_matches_scalar(phi1, phi2, x1[:, None], off[:, None], [0.05, 0.3, 0.9, 1.0])
+                assert_analysis_matches_point_path(phi1, phi2, x1[:, None], off[:, None], [0.05, 0.3, 0.9, 1.0])
         # the in-frame cells of a raster next to its frame edge, the diagonal
         x = 0.05 + (3.0 - 0.05) * np.arange(60) / 59
         x1_grid, x2_grid = np.meshgrid(x, x)
         edge = (x1_grid <= x2_grid) & (x2_grid - x1_grid <= 2 * (3.0 - 0.05) / 59)
-        assert_march_matches_scalar(1.0, 1.0, x1_grid[edge], x2_grid[edge], np.array([[0.3], [0.9]]))
+        assert_analysis_matches_point_path(1.0, 1.0, x1_grid[edge], x2_grid[edge], np.array([[0.3], [0.9]]))
 
     def test_smallest_beta(self):
         # beta*beta and r*beta underflow, so one seed quadratic turns linear
-        assert_march_matches_scalar(1.0, 0.3, 0.2, 0.9, [5e-324, 1e-300, 1e-160])
+        assert assert_analysis_matches_point_path(1.0, 0.3, 0.2, 0.9, [5e-324, 1e-300, 1e-160]) is None
 
     def test_beta_outside_unit_interval(self):
         for beta in (0.0, 1.5):
             with pytest.raises(ValueError, match="beta"):
-                te._alliance_optimal_vec(1.0, 1.2, 0.5, 1.5, [0.5, beta])
+                te._analyze_vec(1.0, 1.2, 0.5, 1.5, [0.5, beta])
 
     def test_losing_transfer_raises_as_the_scalar_march(self, monkeypatch):
         # donating almost all of player 2's budget loses at beta 0.1
@@ -578,18 +588,22 @@ class TestArrayMarch:
         with pytest.raises(te.InternalInconsistencyError) as scalar:
             alliance_optimal(G1, 0.1)
         with pytest.raises(te.InternalInconsistencyError) as array:
-            te._alliance_optimal_vec(G1.phi1, G1.phi2, G1.x1, G1.x2, [0.05, 0.1])
+            te._analyze_vec(G1.phi1, G1.phi2, G1.x1, G1.x2, [0.05, 0.1])
         assert array.value.diagnostics == scalar.value.diagnostics
         assert str(array.value) == str(scalar.value)
+
+    def test_a_flag_the_point_path_does_not_raise_is_inconsistent(self, monkeypatch):
+        # only the array march donates the losing 1.4, so the point path reruns without an error
+        monkeypatch.setattr(te, "_march_alliance_vec", lambda phi1, phi2, x1, x2, beta: np.full_like(x1, 1.4))
+        with pytest.raises(te.InternalInconsistencyError, match="point path accepts"):
+            te._analyze_vec(G1.phi1, G1.phi2, G1.x1, G1.x2, [0.05, 0.1])
 
     def test_mapped_to_the_callers_frame(self):
         # swapped and xa map tau back as alliance_optimal does, zeros included
         g = GameParams(1.2, 1.0, 4.5, 1.5, adversary_budget=3.0)
         gn, swapped = normalize(g)
         betas = np.array([0.01, 0.05, 0.3, 1.0])
-        tau, gain = te._alliance_optimal_vec(
-            gn.phi1, gn.phi2, gn.x1, gn.x2, betas, swapped, g.adversary_budget
-        )
+        _, _, _, tau, gain = te._analyze_vec(gn.phi1, gn.phi2, gn.x1, gn.x2, betas, swapped, g.adversary_budget)
         expected = [alliance_optimal(g, b) for b in betas.tolist()]
         assert swapped and expected[0] == (0.0, 0.0)
         assert_bits_equal(tau, [t for t, _ in expected])
@@ -607,16 +621,16 @@ class TestThresholdRange:
         with pytest.raises(ValueError, match=how) as scalar:
             te._mb_threshold_f(*params)
         phi1, phi2, x1, x2 = params
-        with pytest.raises(ValueError, match=how) as array:
-            te._mb_threshold_vec(phi1, phi2, np.array([1.0, x1]), np.array([1.0, x2]))
-        assert str(array.value) == str(scalar.value)
+        error = assert_analysis_matches_point_path(phi1, phi2, np.array([1.0, x1]), np.array([1.0, x2]), 0.5)
+        assert str(error) == str(scalar.value)
         with pytest.raises(ValueError, match=how):
             analyze(GameParams(*params), 0.5)
 
     def test_array_threshold_matches_scalar(self, rng):
         params = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=(2000, 4)))
         games = np.array([oriented(*p) for p in params.tolist()])
-        assert_bits_equal(te._mb_threshold_vec(*games.T), [te._mb_threshold_f(*g) for g in games.tolist()])
+        threshold = te._analyze_vec(*games.T, 1.0)[1]
+        assert_bits_equal(threshold, [te._mb_threshold_f(*g) for g in games.tolist()])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -630,24 +644,33 @@ class TestSeedRange:
             alliance_optimal(GameParams(*self.OVERFLOW), 0.5)
         assert "x1=1e+200, x2=1.0" in str(scalar.value)
         phi1, phi2, x1, x2 = self.OVERFLOW
-        assert_march_matches_scalar(phi1, phi2, [0.5, x1], x2, 0.5)
-        assert_march_matches_scalar(1.0, 1e-300, 1.0, [1.5, 1e200], 0.5)
+        error = assert_analysis_matches_point_path(phi1, phi2, [0.5, x1], x2, 0.5)
+        assert str(error) == str(scalar.value)
+        # (1 - x2)**2 overflows only where phi1*x2**3 does, so the threshold's error comes first
+        error = assert_analysis_matches_point_path(1.0, 1e-300, 1.0, [1.5, 1e200], 0.5)
+        assert "phi1*x2**3 overflows" in str(error)
         with pytest.raises(ValueError, match="overflows"):
             analyze(GameParams(*self.OVERFLOW), 0.5)
 
     def test_array_skips_games_in_g_dagger(self):
         # a case-4 game is in G-dagger, so the scalar march never runs on it
-        assert alliance_optimal(GameParams(1.0, 1.0, 1e200, 1e200), 0.5) == (0.0, 0.0)
-        tau, gain = te._alliance_optimal_vec(1.0, 1.0, 1e200, 1e200, [0.5, 1.0])
+        dagger = (1.0, 1e-200, 1e200, 1.0)
+        assert alliance_optimal(GameParams(*dagger), 0.5) == (0.0, 0.0)
+        _, _, _, tau, gain = te._analyze_vec(*dagger, [0.5, 1.0])
         assert_bits_equal(tau, [0.0, 0.0])
         assert_bits_equal(gain, [0.0, 0.0])
-        assert_march_matches_scalar([1.0, 1e300], 1.0, [1e200, 1e200], [1e200, 1.0], 0.5)
+        games = np.array([dagger, self.OVERFLOW])
+        error = assert_analysis_matches_point_path(*games.T, 0.5)
+        assert "alliance march out of float range" in str(error)
 
     def test_in_element_order_with_the_losing_transfer(self, monkeypatch):
-        # donating 1.4 loses for G1 at beta 0.1 (see TestArrayMarch)
+        # donating 1.4 loses for G1 at beta 0.1 (see TestArrayMarch); the scalar
+        # march still runs first, so it keeps its own seed-overflow error
+        march = te._march_alliance
+        monkeypatch.setattr(te, "_march_alliance", lambda *args: (march(*args), 1.4)[1])
         monkeypatch.setattr(te, "_march_alliance_vec", lambda phi1, phi2, x1, x2, beta: np.full_like(x1, 1.4))
         games = np.array([(G1.phi1, G1.phi2, G1.x1, G1.x2), self.OVERFLOW])
-        with pytest.raises(te.InternalInconsistencyError):
-            te._alliance_optimal_vec(*games.T, 0.1)
+        with pytest.raises(te.InternalInconsistencyError, match="losing transfer"):
+            te._analyze_vec(*games.T, 0.1)
         with pytest.raises(ValueError, match="overflows"):
-            te._alliance_optimal_vec(*games[::-1].T, 0.1)
+            te._analyze_vec(*games[::-1].T, 0.1)
