@@ -21,12 +21,13 @@ only under a certificate, a margin far above rounding on both sides of it,
 that proves by convexity that the full bisection would return the same
 split; the few rows it rejects are bisected near the guess, then over all
 splits (see _bisect_rows). A single row, as in
-adversary_grid_best_response, is enumerated over all n + 1 splits instead:
-one vectorized pass over 1,001 splits costs less than the ten dependent
-numpy steps of a bisection. The enumeration stays the reference for single
-rows and the one the bisection is tested against. Where f is flat
-(proportional games in which both players are strong) the two can pick
-different splits among ties equal to rounding.
+adversary_grid_best_response, is bisected on scalar payoffs, free of numpy's
+per-call cost, and kept under the same certificate; a row it cannot settle
+is enumerated over all n + 1 splits, so a single row always gets the
+enumeration's bits. The enumeration stays the reference the bisection is
+tested against. Where f is flat (proportional games in which both players
+are strong) the scan and the enumeration can pick different splits among
+ties equal to rounding.
 
 Slack is estimated by finite differences: the variation of each payoff over
 one split step at the chosen split, and the variation of the relevant
@@ -37,6 +38,7 @@ slacks, and appends to it one Disagreement (quantity, closed_value,
 grid_value, slack) per closed-form quantity the grid cannot reconcile.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -127,6 +129,20 @@ def _n_split(split_step: float) -> int:
     return max(1, round(1.0 / split_step))
 
 
+@functools.lru_cache(maxsize=8)
+def _split_grid(n_split: int) -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
+    """The splits a = j/n and b = 1 - a, j = 0..n: read-only arrays, then as float tuples."""
+    a = np.linspace(0.0, 1.0, n_split + 1)
+    b = 1.0 - a
+    a.flags.writeable = b.flags.writeable = False
+    return a, b, tuple(a.tolist()), tuple(b.tolist())
+
+
+def _certified(f_down, f, f_up, j, n_split: int, margin: float):
+    """_bisect_rows' certificate of split j from f(j - 1), f(j), f(j + 1); floats or arrays."""
+    return ((j == 0) | (f_down - f > margin)) & ((j == n_split) | (f_up - f > margin))
+
+
 def _enumerate_rows(
     phi1: float, phi2: float, x1b: np.ndarray, x2b: np.ndarray, n_split: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -137,9 +153,9 @@ def _enumerate_rows(
     payoff, i.e. the first maximizer of the adversary's. Returns
     (a_star, u1, u2) at that split for every row.
     """
-    a = np.linspace(0.0, 1.0, n_split + 1)
+    a, b, _, _ = _split_grid(n_split)
     mat1 = lotto_core.payoff_vec(x1b[:, None], a[None, :], phi1)
-    mat2 = lotto_core.payoff_vec(x2b[:, None], (1.0 - a)[None, :], phi2)
+    mat2 = lotto_core.payoff_vec(x2b[:, None], b[None, :], phi2)
     j = np.argmin(mat1 + mat2, axis=1)
     rows = np.arange(x1b.size)
     return a[j], mat1[rows, j], mat2[rows, j]
@@ -180,13 +196,16 @@ def _bisect_rows(
     - So the rounded predicate f(j+1) >= f(j) is false for every j < g and
       true for every j >= g, the bisection over [0, n] returns g, and a[g],
       u1 and u2 are the same bits.
+    - The same bounds make the computed f fall strictly before g and rise
+      strictly after it, so g is f's unique minimizer, np.argmin's answer in
+      _enumerate_rows too. lotto_core.payoff equals payoff_vec bit for bit,
+      so a g certified on scalar payoffs gives the enumeration's bits too.
 
     A guess on a stretch of two or more splits where f is flat within
     rounding (case 4) is never certified, so such a row falls back to the
     full bisection and lands on the same tie as it.
     """
-    a = np.linspace(0.0, 1.0, n_split + 1)
-    b = 1.0 - a
+    a, b, _, _ = _split_grid(n_split)
     margin = CERTIFICATE_MARGIN * (phi1 + phi2)
 
     def combined(x1, x2, j):
@@ -203,10 +222,8 @@ def _bisect_rows(
         return lo
 
     def certified(x1, x2, j):
-        f = combined(x1, x2, j)
-        falls = (j == 0) | (combined(x1, x2, np.maximum(j - 1, 0)) - f > margin)
-        rises = (j == n_split) | (combined(x1, x2, np.minimum(j + 1, n_split)) - f > margin)
-        return falls & rises
+        f_down, f_up = combined(x1, x2, np.maximum(j - 1, 0)), combined(x1, x2, np.minimum(j + 1, n_split))
+        return _certified(f_down, combined(x1, x2, j), f_up, j, n_split, margin)
 
     def full(rows):
         return bisect(x1b[rows], x2b[rows], np.zeros_like(rows), np.full_like(rows, n_split))
@@ -234,16 +251,33 @@ def adversary_grid_best_response(
 ) -> tuple[float, float]:
     """Best split fraction on front 1 and the adversary payoff it earns.
 
-    Solves the adversary's division problem by enumeration only; ties go to
-    the smallest allocation on front 1.
+    Bisects the split objective over [0, n] on scalar Lotto payoffs and keeps
+    the split only when _certified proves it f's unique minimizer, which is
+    then _enumerate_rows' answer bit for bit (see _bisect_rows). A row the
+    certificate cannot settle, such as a case-4 game whose f is flat within
+    rounding, is enumerated; ties go to the smallest allocation on front 1.
     """
+    phi1, phi2 = induced.phi1, induced.phi2
     xa = induced.adversary_budget
-    x1b = np.array([induced.x1 / xa])
-    x2b = np.array([induced.x2 / xa])
-    a_star, u1, u2 = _enumerate_rows(
-        induced.phi1, induced.phi2, x1b, x2b, _n_split(split_step)
-    )
-    return float(a_star[0]), induced.phi1 + induced.phi2 - float(u1[0] + u2[0])
+    x1b, x2b = induced.x1 / xa, induced.x2 / xa
+    n_split = _n_split(split_step)
+    _, _, a, b = _split_grid(n_split)
+
+    def f(j):
+        return lotto_core.payoff(x1b, a[j], phi1) + lotto_core.payoff(x2b, b[j], phi2)
+
+    lo, hi = 0, n_split
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if f(mid + 1) >= f(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    f_lo, margin = f(lo), CERTIFICATE_MARGIN * (phi1 + phi2)
+    if _certified(f(max(lo - 1, 0)), f_lo, f(min(lo + 1, n_split)), lo, n_split, margin):
+        return a[lo], phi1 + phi2 - f_lo
+    a_star, u1, u2 = _enumerate_rows(phi1, phi2, np.array([x1b]), np.array([x2b]), n_split)
+    return float(a_star[0]), phi1 + phi2 - float(u1[0] + u2[0])
 
 
 def _split_slack_rows(

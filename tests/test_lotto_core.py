@@ -80,13 +80,19 @@ class TestProperties:
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestVectorized:
     def test_matches_scalar(self, rng):
+        # bit for bit, sign of zero included: the single-row oracle's proof leans on it
         x = rng.uniform(0.0, 5.0, size=300)
         xa = rng.uniform(0.0, 5.0, size=300)
         xa[::17] = 0.0
         x[::23] = 0.0
+        # exact ties x == xa on the oracle's 1,001-split grid, on both fronts' allocations
+        grid = np.linspace(0.0, 1.0, 1001)
+        wide = np.exp(rng.uniform(math.log(1e-12), math.log(1e12), size=(2, 300)))
+        x = np.concatenate([x, grid, 1.0 - grid, wide[0]])
+        xa = np.concatenate([xa, grid, 1.0 - grid, wide[1]])
         got = payoff_vec(x, xa, 1.7)
-        expected = np.array([payoff(a, b, 1.7) for a, b in zip(x, xa)])
-        np.testing.assert_allclose(got, expected, rtol=0, atol=0)
+        expected = np.array([payoff(a, b, 1.7) for a, b in zip(x.tolist(), xa.tolist())])
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_array_total_value_matches_scalar(self, rng):
         x = rng.uniform(0.0, 5.0, size=300)
@@ -94,7 +100,8 @@ class TestVectorized:
         phi = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=300))
         xa[::17] = 0.0
         got = payoff_vec(x, xa, phi)
-        np.testing.assert_array_equal(got, [payoff(*args) for args in zip(x.tolist(), xa.tolist(), phi.tolist())])
+        expected = np.array([payoff(*args) for args in zip(x.tolist(), xa.tolist(), phi.tolist())])
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_broadcasts(self):
         x = np.array([[0.5], [2.0]])

@@ -1,6 +1,6 @@
-"""Grid oracle: enumeration examples, bisection against enumeration, the warm
-start against the full bisection, convergence, and independence from closed
-forms."""
+"""Grid oracle: enumeration examples, the single-row bisection and the scan's
+bisection against enumeration, the warm start against the full bisection,
+convergence, and independence from closed forms."""
 
 import ast
 import inspect
@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import blotto_alliance.oracle as oracle_module
 from blotto_alliance import adversary_response, lotto_core, transfer_engine
+from blotto_alliance.adversary_response import GameParams
 from blotto_alliance.cli import DEFAULT_VERIFY_BETAS, FIXED_SEED_GAMES, closed_form_summary
 from blotto_alliance.oracle import (
     OracleConfig,
@@ -48,6 +49,82 @@ class TestGridBestResponse:
         g = adversary_response.GameParams(1e-9, 1.0, 1e-9, 1.0)
         a_star, _ = adversary_grid_best_response(g, split_step=0.25)
         assert a_star == 0.0
+
+
+def enumerated_best_response(g, split_step):
+    """adversary_grid_best_response's (a*, w) by plain enumeration of the one row."""
+    xa = g.adversary_budget
+    x1b, x2b = np.array([g.x1 / xa]), np.array([g.x2 / xa])
+    a_star, u1, u2 = oracle_module._enumerate_rows(g.phi1, g.phi2, x1b, x2b, oracle_module._n_split(split_step))
+    return float(a_star[0]), g.phi1 + g.phi2 - float(u1[0] + u2[0])
+
+
+def log_uniform_game(rng, lo, hi):
+    return GameParams(*np.exp(rng.uniform(math.log(lo), math.log(hi), size=5)).tolist())
+
+
+class EnumerationReached(Exception):
+    pass
+
+
+class TestSingleRow:
+    """adversary_grid_best_response gives the enumeration's (a*, w) bits, certified or not."""
+
+    SPLIT_STEPS = [1.0, 0.5, 0.25, 1e-2, 1e-3]
+
+    @staticmethod
+    def assert_matches_enumeration(games, split_step):
+        got = np.array([adversary_grid_best_response(g, split_step) for g in games])
+        want = np.array([enumerated_best_response(g, split_step) for g in games])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("split_step", SPLIT_STEPS)
+    def test_log_uniform_games(self, rng, split_step):
+        games = [log_uniform_game(rng, 0.05, 5.0) for _ in range(300)]
+        self.assert_matches_enumeration(games, split_step)
+
+    @pytest.mark.parametrize("split_step", SPLIT_STEPS)
+    def test_games_induced_at_the_alliance_optimum_over_twelve_decades(self, rng, split_step):
+        games = []
+        for _ in range(40):
+            g = log_uniform_game(rng, 1e-6, 1e6)
+            for beta in DEFAULT_VERIFY_BETAS:
+                tau, _ = transfer_engine.alliance_optimal(g, beta)
+                post = transfer_engine.apply_transfer(g, transfer_engine.Transfer(tau, beta))
+                games.append(GameParams(g.phi1, g.phi2, post.x1_bar, post.x2_bar, g.adversary_budget))
+        self.assert_matches_enumeration(games, split_step)
+
+    @pytest.mark.parametrize("split_step", SPLIT_STEPS)
+    def test_flat_case_4_games(self, rng, split_step):
+        games = [CASE4_GAME] + [random_game_of_case(rng, 4) for _ in range(60)]
+        self.assert_matches_enumeration(games, split_step)
+
+    @staticmethod
+    def forbid_enumeration(monkeypatch):
+        def boom(*args, **kwargs):
+            raise EnumerationReached
+
+        monkeypatch.setattr(oracle_module, "_enumerate_rows", boom)
+
+    def test_a_certified_row_never_enumerates(self, monkeypatch):
+        want = enumerated_best_response(G1, 1e-3)
+        self.forbid_enumeration(monkeypatch)
+        assert adversary_grid_best_response(G1, 1e-3) == want
+
+    def test_the_split_grid_is_built_once_per_split_count(self, monkeypatch):
+        want = [adversary_grid_best_response(g, 1e-3) for g in (G1, CASE4_GAME)]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the split grid was built again")
+
+        monkeypatch.setattr(oracle_module.np, "linspace", boom)
+        assert [adversary_grid_best_response(g, 1e-3) for g in (G1, CASE4_GAME)] == want
+
+    def test_a_flat_case_4_row_reaches_the_enumeration(self, monkeypatch):
+        # f is flat within rounding for every split in [1 - x2, x1] = [0, 0.5]
+        self.forbid_enumeration(monkeypatch)
+        with pytest.raises(EnumerationReached):
+            adversary_grid_best_response(CASE4_GAME, 1e-3)
 
 
 def assert_bisection_matches_enumeration(phi1, phi2, x1b, x2b, n_split, rows_per_slice=500):
