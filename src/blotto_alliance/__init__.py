@@ -20,7 +20,6 @@ from blotto_alliance.adversary_response import (
     optimal_split,
     stage_payoffs,
 )
-from blotto_alliance.lotto_core import LottoInstance, equilibrium_payoff
 from blotto_alliance.transfer_engine import (
     PostTransferBudgets,
     Transfer,
@@ -43,7 +42,6 @@ __all__ = [
     "AdversaryResponse",
     "Case",
     "GameParams",
-    "LottoInstance",
     "PayoffProfile",
     "PostTransferBudgets",
     "Transfer",
@@ -54,7 +52,6 @@ __all__ = [
     "apply_transfer",
     "classify",
     "delta_payoffs",
-    "equilibrium_payoff",
     "in_g_dagger",
     "mb_beta_threshold",
     "mb_exists",

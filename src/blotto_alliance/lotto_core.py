@@ -12,26 +12,7 @@ allocation go to the player, so a zero adversary budget yields the full
 valuation phi regardless of the player's budget.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class LottoInstance:
-    """One front of a Lotto contest: budgets in resource units, value phi > 0."""
-
-    player_budget: float
-    adversary_budget: float
-    total_value: float
-
-    def __post_init__(self):
-        if not (self.player_budget >= 0):
-            raise ValueError(f"player_budget must be >= 0, got {self.player_budget}")
-        if not (self.adversary_budget >= 0):
-            raise ValueError(f"adversary_budget must be >= 0, got {self.adversary_budget}")
-        if not (self.total_value > 0):
-            raise ValueError(f"total_value must be > 0, got {self.total_value}")
 
 
 def payoff(player_budget: float, adversary_budget: float, total_value: float) -> float:
@@ -41,12 +22,6 @@ def payoff(player_budget: float, adversary_budget: float, total_value: float) ->
     if player_budget <= adversary_budget:
         return total_value * player_budget / (2.0 * adversary_budget)
     return total_value * (1.0 - adversary_budget / (2.0 * player_budget))
-
-
-def equilibrium_payoff(inst: LottoInstance) -> tuple[float, float]:
-    """Return (player_payoff, adversary_payoff); the two always sum to phi."""
-    u = payoff(inst.player_budget, inst.adversary_budget, inst.total_value)
-    return u, inst.total_value - u
 
 
 def payoff_vec(player_budget, adversary_budget, total_value: float | np.ndarray) -> np.ndarray:
@@ -62,4 +37,4 @@ def payoff_vec(player_budget, adversary_budget, total_value: float | np.ndarray)
     return np.where(xa == 0.0, total_value, np.where(x <= xa, weak, strong))
 
 
-__all__ = ["LottoInstance", "equilibrium_payoff", "payoff", "payoff_vec"]
+__all__ = ["payoff", "payoff_vec"]

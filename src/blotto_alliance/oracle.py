@@ -21,13 +21,13 @@ only under a certificate, a margin far above rounding on both sides of it,
 that proves by convexity that the full bisection would return the same
 split; the few rows it rejects are bisected near the guess, then over all
 splits (see _bisect_rows). A single row, as in
-adversary_grid_best_response, is bisected on scalar payoffs, free of numpy's
-per-call cost, and kept under the same certificate; a row it cannot settle
-is enumerated over all n + 1 splits, so a single row always gets the
-enumeration's bits. The enumeration stays the reference the bisection is
-tested against. Where f is flat (proportional games in which both players
-are strong) the scan and the enumeration can pick different splits among
-ties equal to rounding.
+adversary_grid_best_response, runs the same bisection over all splits on
+scalar payoffs, free of numpy's per-call cost, so it returns the scan's
+bits for the same budgets. Enumerating all n + 1 splits stays only as the
+reference the bisection is tested against. Where f is flat (proportional
+games in which both players are strong) the bisection and the enumeration
+can pick different splits among ties equal to rounding; the adversary
+payoffs then differ by rounding only.
 
 Slack is estimated by finite differences: the variation of each payoff over
 one split step at the chosen split, and the variation of the relevant
@@ -138,11 +138,6 @@ def _split_grid(n_split: int) -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
     return a, b, tuple(a.tolist()), tuple(b.tolist())
 
 
-def _certified(f_down, f, f_up, j, n_split: int, margin: float):
-    """_bisect_rows' certificate of split j from f(j - 1), f(j), f(j + 1); floats or arrays."""
-    return ((j == 0) | (f_down - f > margin)) & ((j == n_split) | (f_up - f > margin))
-
-
 def _enumerate_rows(
     phi1: float, phi2: float, x1b: np.ndarray, x2b: np.ndarray, n_split: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,7 +194,8 @@ def _bisect_rows(
     - The same bounds make the computed f fall strictly before g and rise
       strictly after it, so g is f's unique minimizer, np.argmin's answer in
       _enumerate_rows too. lotto_core.payoff equals payoff_vec bit for bit,
-      so a g certified on scalar payoffs gives the enumeration's bits too.
+      so adversary_grid_best_response's scalar bisection over [0, n] gives a
+      single row these bits as well, certified or not.
 
     A guess on a stretch of two or more splits where f is flat within
     rounding (case 4) is never certified, so such a row falls back to the
@@ -222,8 +218,9 @@ def _bisect_rows(
         return lo
 
     def certified(x1, x2, j):
+        f = combined(x1, x2, j)
         f_down, f_up = combined(x1, x2, np.maximum(j - 1, 0)), combined(x1, x2, np.minimum(j + 1, n_split))
-        return _certified(f_down, combined(x1, x2, j), f_up, j, n_split, margin)
+        return ((j == 0) | (f_down - f > margin)) & ((j == n_split) | (f_up - f > margin))
 
     def full(rows):
         return bisect(x1b[rows], x2b[rows], np.zeros_like(rows), np.full_like(rows, n_split))
@@ -251,11 +248,12 @@ def adversary_grid_best_response(
 ) -> tuple[float, float]:
     """Best split fraction on front 1 and the adversary payoff it earns.
 
-    Bisects the split objective over [0, n] on scalar Lotto payoffs and keeps
-    the split only when _certified proves it f's unique minimizer, which is
-    then _enumerate_rows' answer bit for bit (see _bisect_rows). A row the
-    certificate cannot settle, such as a case-4 game whose f is flat within
-    rounding, is enumerated; ties go to the smallest allocation on front 1.
+    Bisects the split objective over [0, n] on scalar Lotto payoffs for the
+    first j with f(j+1) >= f(j), as _bisect_rows does for every row, so the
+    split and payoff are the scan's bits for the same budgets. That split is
+    the first minimizer, the smallest allocation on front 1 among ties; where
+    f is flat within rounding (case 4), its payoff ties the first
+    minimizer's to rounding.
     """
     phi1, phi2 = induced.phi1, induced.phi2
     xa = induced.adversary_budget
@@ -273,11 +271,7 @@ def adversary_grid_best_response(
             hi = mid
         else:
             lo = mid + 1
-    f_lo, margin = f(lo), CERTIFICATE_MARGIN * (phi1 + phi2)
-    if _certified(f(max(lo - 1, 0)), f_lo, f(min(lo + 1, n_split)), lo, n_split, margin):
-        return a[lo], phi1 + phi2 - f_lo
-    a_star, u1, u2 = _enumerate_rows(phi1, phi2, np.array([x1b]), np.array([x2b]), n_split)
-    return float(a_star[0]), phi1 + phi2 - float(u1[0] + u2[0])
+    return a[lo], phi1 + phi2 - f(lo)
 
 
 def _split_slack_rows(

@@ -81,8 +81,6 @@ class SweepCell:
     case_label: Case | None = None
     mb_exists: bool | None = None
     tau_dagger: float | None = None
-    mb_beta_threshold: float | None = None
-    alliance_gain: float | None = None
 
 
 def region_raster(grid: SweepGrid) -> list[SweepCell]:
@@ -110,36 +108,22 @@ def region_raster(grid: SweepGrid) -> list[SweepCell]:
         k = int(np.argmin(np.isfinite(x1_in) & np.isfinite(x2_in)))
         GameParams(phi1, phi2, x1_in[k].item(), x2_in[k].item())
     # beta rows first, so the first failing element is the raster's first failing cell
-    case, threshold, exists, tau_dagger, gain = _analyze_vec(
+    case, _, exists, tau_dagger, _ = _analyze_vec(
         phi1, phi2, x1_in, x2_in, np.array(grid.beta_list)[:, None]
     )
 
-    # the case and the threshold do not depend on beta
+    # the case does not depend on beta
     labels = [Case(c) for c in case[0].tolist()]
-    thresholds = threshold[0].tolist()
     frame = in_frame.ravel().tolist()
     cells = []
-    per_beta = zip(grid.beta_list, exists.tolist(), tau_dagger.tolist(), gain.tolist())
-    for beta, exists_row, tau_row, gain_row in per_beta:
-        fields = zip(labels, exists_row, tau_row, thresholds, gain_row)
+    for beta, exists_row, tau_row in zip(grid.beta_list, exists.tolist(), tau_dagger.tolist()):
+        fields = zip(labels, exists_row, tau_row)
         for (x2, x1), inside in zip(itertools.product(x2_values, x1_values), frame):
             if not inside:
                 cells.append(SweepCell(beta=beta, x1=x1, x2=x2, in_frame=False))
                 continue
-            label, cell_exists, cell_tau, cell_threshold, cell_gain = next(fields)
-            cells.append(
-                SweepCell(
-                    beta=beta,
-                    x1=x1,
-                    x2=x2,
-                    in_frame=True,
-                    case_label=label,
-                    mb_exists=cell_exists,
-                    tau_dagger=cell_tau,
-                    mb_beta_threshold=cell_threshold,
-                    alliance_gain=cell_gain,
-                )
-            )
+            # (case_label, mb_exists, tau_dagger)
+            cells.append(SweepCell(beta, x1, x2, True, *next(fields)))
     return cells
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from blotto_alliance.lotto_core import LottoInstance, equilibrium_payoff, payoff, payoff_vec
+from blotto_alliance.lotto_core import payoff, payoff_vec
 
 budgets = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 positive = st.floats(min_value=1e-3, max_value=50.0, allow_nan=False)
@@ -14,47 +14,33 @@ positive = st.floats(min_value=1e-3, max_value=50.0, allow_nan=False)
 
 class TestWorkedExamples:
     def test_symmetric_budgets_split_evenly(self):
-        assert equilibrium_payoff(LottoInstance(1.0, 1.0, 1.0)) == (0.5, 0.5)
+        assert payoff(1.0, 1.0, 1.0) == 0.5
 
     def test_weak_side_branch(self):
-        assert equilibrium_payoff(LottoInstance(0.5, 1.0, 1.0)) == (0.25, 0.75)
+        assert payoff(0.5, 1.0, 1.0) == 0.25
 
     def test_strong_side_branch(self):
-        u, ua = equilibrium_payoff(LottoInstance(2.0, 1.0, 1.2))
+        u = payoff(2.0, 1.0, 1.2)
         assert u == pytest.approx(0.9, abs=1e-15)
-        assert ua == pytest.approx(0.3, abs=1e-15)
+        assert 1.2 - u == pytest.approx(0.3, abs=1e-15)
 
     def test_zero_budget_wins_nothing(self):
-        assert equilibrium_payoff(LottoInstance(0.0, 1.0, 3.0)) == (0.0, 3.0)
+        assert payoff(0.0, 1.0, 3.0) == 0.0
 
     def test_both_budgets_zero_ties_go_to_player(self):
-        assert equilibrium_payoff(LottoInstance(0.0, 0.0, 2.0)) == (2.0, 0.0)
+        assert payoff(0.0, 0.0, 2.0) == 2.0
 
     def test_zero_adversary_budget_yields_full_value(self):
-        assert equilibrium_payoff(LottoInstance(0.7, 0.0, 2.0)) == (2.0, 0.0)
-
-
-class TestValidation:
-    @pytest.mark.parametrize(
-        "player,adversary,value",
-        [(-0.1, 1.0, 1.0), (1.0, -0.1, 1.0), (1.0, 1.0, 0.0), (1.0, 1.0, -2.0)],
-    )
-    def test_domain_errors(self, player, adversary, value):
-        with pytest.raises(ValueError):
-            LottoInstance(player, adversary, value)
+        assert payoff(0.7, 0.0, 2.0) == 2.0
 
 
 class TestProperties:
     @given(budgets, budgets, positive)
-    def test_conservation(self, x, xa, phi):
-        u, ua = equilibrium_payoff(LottoInstance(x, xa, phi))
-        assert abs(u + ua - phi) <= 1e-12 * phi
-
-    @given(budgets, budgets, positive)
     def test_bounds(self, x, xa, phi):
-        u, ua = equilibrium_payoff(LottoInstance(x, xa, phi))
+        # the player's payoff and the adversary's remainder both lie in [0, phi]
+        u = payoff(x, xa, phi)
         assert -1e-15 <= u <= phi * (1 + 1e-15)
-        assert -1e-15 <= ua <= phi * (1 + 1e-15)
+        assert -1e-15 <= phi - u <= phi * (1 + 1e-15)
 
     @given(positive, positive)
     def test_continuity_at_equal_budgets(self, x, phi):

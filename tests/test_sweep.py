@@ -37,9 +37,9 @@ def scalar_region_raster(grid):
                 if phi2 * x1 > phi1 * x2:
                     cells.append(SweepCell(beta=beta, x1=x1, x2=x2, in_frame=False))
                     continue
-                case, threshold, exists = te._mutual_benefit_f(phi1, phi2, x1, x2, beta)
-                tau, gain = te.alliance_optimal(GameParams(phi1, phi2, x1, x2), beta)
-                cells.append(SweepCell(beta, x1, x2, True, Case(case), exists, tau, threshold, gain))
+                case, _, exists = te._mutual_benefit_f(phi1, phi2, x1, x2, beta)
+                tau, _ = te.alliance_optimal(GameParams(phi1, phi2, x1, x2), beta)
+                cells.append(SweepCell(beta, x1, x2, True, Case(case), exists, tau))
     return cells
 
 

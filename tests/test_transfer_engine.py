@@ -420,6 +420,41 @@ class TestAnalyze:
         assert du1 > 0.0 and du2 > 0.0
 
 
+def phi_product_fault(reason, raises=AssertionError):
+    return pytest.mark.xfail(strict=True, raises=raises, reason=reason)
+
+
+class TestCommonPhiScale:
+    """Verdicts and transfers depend on phi1 and phi2 only through their ratio."""
+
+    @pytest.mark.parametrize(
+        "x1, x2, s",
+        [
+            (0.05, 0.5, 1e-100),
+            (0.05, 0.5, 1e100),
+            (0.5, 1.5, 1e-100),
+            pytest.param(0.05, 0.5, 1e-200, marks=phi_product_fault(
+                "phi1*phi2 underflows in the case-3 threshold and the stationary ratio: in G-dagger, tau 0.0"
+            )),
+            pytest.param(0.05, 0.5, 1e-160, marks=phi_product_fault(
+                "phi1*phi2 is subnormal: tau -0.0999992578, wrong in the 6th digit"
+            )),
+            pytest.param(0.05, 0.5, 1e160, marks=phi_product_fault(
+                "phi1*phi2 overflows: the march lands on a losing transfer", te.InternalInconsistencyError
+            )),
+            pytest.param(0.5, 1.5, 1e-200, marks=phi_product_fault(
+                "phi1*phi2 underflows to 0 in the stationary ratio's divisor", ZeroDivisionError
+            )),
+        ],
+    )
+    def test_matches_the_unit_scale(self, x1, x2, s):
+        # (0.05, 0.5) lies in case 3 at tau = 0, (0.5, 1.5) in case 2
+        want = analyze(GameParams(1.0, 1.0, x1, x2), 0.5)
+        got = analyze(GameParams(s, s, x1, x2), 0.5)
+        assert (got.case_at_zero, got.in_g_dagger, got.mb_exists) == (want.case_at_zero, want.in_g_dagger, want.mb_exists)
+        assert got.alliance_tau == pytest.approx(want.alliance_tau, rel=1e-12)
+
+
 def scalar_margin(g, beta):
     """mutual_margin one point at a time."""
     gn, _ = normalize(g)
