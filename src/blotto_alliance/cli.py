@@ -95,21 +95,11 @@ def _dumps(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(header: list[str], rows, out) -> None:
+    """csv writes None as empty, a float as its repr and an int with str; callers pass bools as 0/1."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
+    writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +324,10 @@ def cmd_region(args) -> int:
         beta_list=betas,
     )
     cells = sweep.region_raster(grid)
+    # int(), since Python 3.10 prints an IntEnum member as its name
     rows = (
-        (
-            c.beta, c.x1, c.x2, c.in_frame,
-            int(c.case_label) if c.case_label is not None else None,
-            c.mb_exists, c.tau_dagger,
-        )
+        (c.beta, c.x1, c.x2, 1, int(c.case_label), int(c.mb_exists), c.tau_dagger)
+        if c.in_frame else (c.beta, c.x1, c.x2, 0, None, None, None)
         for c in cells
     )
     _write_csv(["beta", "x1", "x2", "in_frame", "case", "mb_exists", "tau_dagger"], rows, sys.stdout)
@@ -350,9 +338,10 @@ def cmd_beta_sweep(args) -> int:
     game = _game_from(args)
     beta_range = (_require(args, "beta_min"), _require(args, "beta_max"))
     rows = sweep.beta_sweep(game, beta_range, _require(args, "steps"))
-    # BetaSweepRow's fields are the CSV columns, in order
+    # BetaSweepRow's fields are the CSV columns, in order, ending in the two flags
     header = [f.name for f in dataclasses.fields(sweep.BetaSweepRow)]
-    _write_csv(header, (dataclasses.astuple(r) for r in rows), sys.stdout)
+    rows = ((*dataclasses.astuple(r)[:-2], int(r.mb_exists), int(r.alliance_nonzero)) for r in rows)
+    _write_csv(header, rows, sys.stdout)
     return 0
 
 
@@ -396,7 +385,8 @@ def sample_game(rng: np.random.Generator) -> GameParams:
 def closed_form_summary(g: GameParams, beta: float) -> ClosedFormSummary:
     """Assemble the closed-form values the oracle audits, for one (game, beta)."""
     analysis = transfer_engine.analyze(g, beta)
-    margin = transfer_engine.mutual_margin(g, beta) if analysis.case_at_zero in (2, 3) else -math.inf
+    # oracle._compare reads the margin only where mutual benefit exists
+    margin = transfer_engine.mutual_margin(g, beta) if analysis.mb_exists else -math.inf
     alliance_value = transfer_engine.alliance_payoff(
         g, Transfer(tau=analysis.alliance_tau, beta=beta)
     )

@@ -19,8 +19,8 @@ Closed forms implemented here:
   * the zero-transfer-optimal set: games where no transfer can raise the
     combined payoff u1 + u2. Case 4 games always belong; case 2 games belong
     iff x1 + beta*x2 <= sqrt(phi2*x1/(phi1*x2)); case 3 games belong iff
-    beta*phi1 - phi2 <= sqrt(phi1*phi2/(x1*x2)) * (x1 - beta*x2), both
-    decided as beta <= alliance_beta_threshold; case 1 games never belong.
+    beta <= sqrt(phi2*x1/(phi1*x2)), both decided as
+    beta <= alliance_beta_threshold; case 1 games never belong.
 
   * the alliance-optimal transfer. Along the donation path the case
     boundaries are roots of linear and quadratic polynomials in the
@@ -32,12 +32,16 @@ Closed forms implemented here:
   * the mutual-benefit interval. With p, q a player's own and the other's
     budget (linear in the donation) and d = 1 - U/phi, its payoff meets the
     no-transfer value U where phi*p = 2U or 2dp = 1 (case 1, front 1),
-    phi*phi_o*p = 4U^2*q (case 2, front 1), 2d(p + q) = 1 (case 4), or
-    k*p*q = (a + b*p)^2 with (k, a, b) = (phi_o/phi, 1, -2d) (case 2,
+    (phi_o/phi)*p = 4(U/phi)^2*q (case 2, front 1), 2d(p + q) = 1 (case 4),
+    or k*p*q = (a + b*p)^2 with (k, a, b) = (phi_o/phi, 1, -2d) (case 2,
     front 2), (4d^2*phi_o/phi, 1, -2d) (case 3, strong on front 1) or
-    (phi*phi_o, 2U, -phi) (case 3, weak). Between these roots, the case
+    (phi_o/phi, 2U/phi, -1) (case 3, weak). Between these roots, the case
     boundaries and the proportional band's edges, min(du1, du2) keeps its
     sign; the interval is the first improving run.
+
+No closed form multiplies two valuations: each reads them only as phi2/phi1
+or U/phi, so scaling both by 4**m scales payoffs and gains by exactly 4**m
+and changes nothing else, while the payoffs stay normal floats.
 
 The point path, the mutual-benefit test then the alliance march, also runs
 as one array pass, _analyze_vec, over broadcast arrays of oriented
@@ -254,19 +258,17 @@ def in_g_dagger(g: GameParams, beta: float) -> bool:
     return _in_g_dagger_f(phi1, phi2, x1, x2, beta)
 
 
-def _alliance_threshold_f(
-    phi1: float, phi2: float, x1: float, x2: float, case: int, sqrt=math.sqrt
-) -> float | None:
-    """Zero transfer is alliance-optimal iff beta <= this (cases 2, 3); None in cases 1, 4.
+def _alliance_threshold_branches(phi1, phi2, x1, x2, sqrt=math.sqrt):
+    """The case-2 and case-3 alliance thresholds (R - x1)/x2 and R, for R = sqrt(phi2*x1/(phi1*x2))."""
+    root = sqrt(phi2 * x1 / (phi1 * x2))
+    return (root - x1) / x2, root
 
-    The budgets and valuations may be arrays, with sqrt=np.sqrt, for a case of 2 or 3.
-    """
+
+def _alliance_threshold_f(phi1: float, phi2: float, x1: float, x2: float, case: int) -> float | None:
+    """Zero transfer is alliance-optimal iff beta <= this (cases 2, 3); None in cases 1, 4."""
     if case in (1, 4):
         return None
-    if case == 2:
-        return (sqrt(phi2 * x1 / (phi1 * x2)) - x1) / x2
-    c = sqrt(phi1 * phi2 / (x1 * x2))
-    return (phi2 + c * x1) / (phi1 + c * x2)
+    return _alliance_threshold_branches(phi1, phi2, x1, x2)[case - 2]
 
 
 def _in_g_dagger_f(phi1: float, phi2: float, x1: float, x2: float, beta: float) -> bool:
@@ -369,12 +371,11 @@ def _segment_label(phi1: float, phi2: float, x1: float, x2: float, beta: float, 
     return _response_f(phi1, phi2, u, v)[0], False
 
 
-def _stationary_ratios(phi1, phi2, x1, x2, beta, sqrt=math.sqrt):
-    """u/v where d(u1 + u2)/dt = 0 in case 2, flipped case 2 and case 3; arrays take sqrt=np.sqrt."""
+def _stationary_ratios(phi1, phi2, x1, x2, beta):
+    """u/v where d(u1 + u2)/dt = 0 in case 2, flipped case 2 and case 3; floats or arrays."""
     big_k = x1 + beta * x2  # x1_bar + beta*x2_bar is invariant along donations
-    lead = beta * phi1 - phi2
-    w = (lead + sqrt(lead * lead + 4.0 * beta * phi1 * phi2)) / (2.0 * sqrt(phi1 * phi2))
-    return big_k * big_k * phi1 / phi2, beta * beta * phi1 / (phi2 * big_k * big_k), w * w
+    # in case 3, sqrt(u/v) = beta*sqrt(phi1/phi2): its quadratic's discriminant is (beta*phi1 + phi2)**2
+    return big_k * big_k * phi1 / phi2, beta * beta * phi1 / (phi2 * big_k * big_k), beta * beta * phi1 / phi2
 
 
 def _march_alliance(phi1: float, phi2: float, x1: float, x2: float, beta: float) -> float:
@@ -464,7 +465,7 @@ def _march_alliance_vec(phi1, phi2, x1, x2, beta) -> np.ndarray:
     seeds = np.stack([linear, *(root for q in quadratics for root in _quadratic_roots_vec(*q))], axis=1)
     seeds[~((0.0 < seeds) & (seeds < t_top[:, None]))] = np.inf
     cuts = np.sort(np.column_stack([np.zeros_like(t_top), seeds, t_top]), axis=1)
-    ratio_2, ratio_2_flipped, ratio_3 = _stationary_ratios(phi1, phi2, x1, x2, beta, np.sqrt)
+    ratio_2, ratio_2_flipped, ratio_3 = _stationary_ratios(phi1, phi2, x1, x2, beta)
 
     def label(i, t):
         u, v = x1[i] + beta[i] * t, x2[i] - t
@@ -509,7 +510,7 @@ def _analyze_vec(phi1, phi2, x1, x2, beta, swapped: bool = False, xa: float = 1.
         cube = phi1 * np.float_power(x2, 3)
         t_case2, t_case3 = _mb_threshold_branches(phi1, phi2, x1, x2, cube, np.sqrt)
         threshold = np.where(t_case3 < t_case2, t_case3, t_case2)  # min() keeps the first on a tie
-        below = [beta <= _alliance_threshold_f(phi1, phi2, x1, x2, c, np.sqrt) for c in (2, 3)]
+        below = [beta <= t for t in _alliance_threshold_branches(phi1, phi2, x1, x2, np.sqrt)]
         dagger = (case == 4) | ((case == 2) & below[0]) | ((case == 3) & below[1])
         overflow = np.logical_or(*map(np.isinf, _seed_squares(x1, x2, np.float_power)))
         t_dag = _march_alliance_vec(phi1, phi2, x1, x2, beta)
@@ -543,13 +544,13 @@ def _crossing_equations(phi, phi_o, u0, p0, p1, q0, q1) -> list[tuple[int, float
     lines = [  # alpha*p + gamma*q + delta = 0
         (1, phi, 0.0, -2.0 * u0),  # front 1, weak: phi*p/2 = u0
         (1, 2.0 * d, 0.0, -1.0),  # front 1, strong: phi*(1 - 1/(2p)) = u0
-        (2, phi * phi_o, -4.0 * u0 * u0, 0.0),  # front 1: sqrt(phi*phi_o*p/q)/2 = u0
+        (2, phi_o / phi, -4.0 * (u0 / phi) ** 2, 0.0),  # front 1: sqrt(phi*phi_o*p/q)/2 = u0
         (4, 2.0 * d, 2.0 * d, -1.0),  # either front: phi*(1 - 1/(2(p + q))) = u0
     ]
     squares = [  # k*p*q = (a + b*p)^2
         (2, phi_o / phi, 1.0, -2.0 * d),  # front 2
         (3, 4.0 * d * d * phi_o / phi, 1.0, -2.0 * d),  # front 1, strong
-        (3, phi * phi_o, 2.0 * u0, -phi),  # either front, weak
+        (3, phi_o / phi, 2.0 * u0 / phi, -1.0),  # either front, weak
     ]
     out = [(case, 0.0, al * p1 + ga * q1, al * p0 + ga * q0 + de) for case, al, ga, de in lines]
     for case, k, a, b in squares:

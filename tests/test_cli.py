@@ -25,7 +25,13 @@ SEED_OVERFLOW = "(1 - x1)**2 or (1 - x2)**2 overflows (x1=1e+200, x2=1.0 against
 # analyze's mb_interval to the exact edge of the proportional band, from
 # -0.45918367279181904 to -0.4591836729383591 (xa = 1) and from
 # -1.3775510183754571 to -1.3775510188150772 (xa = 3), where bisection had
-# stopped; provenance lost its tau_tolerance line.
+# stopped; provenance lost its tau_tolerance line. Writing the case-3
+# stationary ratio as beta*beta*phi1/phi2 and the case-3 alliance threshold
+# as sqrt(phi2*x1/(phi1*x2)) moved, by rounding only, tau_dagger in 44 cells
+# of region, 1 of region-wide and 81 of region-case-4-diagonal (each by at
+# most 2.3e-16), and in beta-sweep-case-3 u1_at_alliance_opt in 22 rows,
+# u2_at_alliance_opt in 26 and max_u12 in 15 (each by at most 3 ulp); no
+# case, in_frame, mb_exists or alliance_nonzero cell changed.
 GOLDEN_STDOUT = {
     "analyze-json": (
         ["analyze", *G1_FLAGS, "--beta", "0.8", "--json"],
@@ -54,7 +60,7 @@ GOLDEN_STDOUT = {
             "--x1-min", "0.1", "--x1-max", "3.0", "--x2-min", "0.1", "--x2-max", "3.0",
             "--resolution", "40",
         ],
-        "07d44c8452334b9f1183a00df54a5a726e8ad09ea5829f8db87bf0569a31d3f2",
+        "9a3cf705eefc1ad0b63cc34a74ff6011e45a80cc45cff48e9ffa02f277b8d9d9",
     ),
     "beta-sweep": (
         ["beta-sweep", *G1_FLAGS, "--beta-min", "0.05", "--beta-max", "1.0", "--steps", "50"],
@@ -69,7 +75,7 @@ GOLDEN_STDOUT = {
             "beta-sweep", "--phi1", "2", "--phi2", "0.5", "--x1", "0.05", "--x2", "0.5",
             "--beta-min", "0.05", "--beta-max", "1.0", "--steps", "200",
         ],
-        "392ad8cfe5653f109699e34800ee5ddf1ec95c16588e9171dcb1326d4ba7d0a6",
+        "1248ee41bd487cb286cc5a5dc643cc539954332eba81af5508adac392ca7ac44",
     ),
     "curve-case-4": (
         [
@@ -94,7 +100,7 @@ GOLDEN_STDOUT = {
             "--x1-min", "0.001", "--x1-max", "50", "--x2-min", "0.001", "--x2-max", "50",
             "--resolution", "40",
         ],
-        "5e538fd0424db9208cffc163626ce4f6cd4c4dce7a8e7a06709808bc152e717d",
+        "f8ea0c00411034c9737157bb96c71d0612270b6a796bdfef85e4a0b21104cf8a",
     ),
     # phi1 = phi2 puts the diagonal on the proportional ray: 102 case-4 cells
     "region-case-4-diagonal": (
@@ -103,7 +109,7 @@ GOLDEN_STDOUT = {
             "--x1-min", "0.05", "--x1-max", "3", "--x2-min", "0.05", "--x2-max", "3",
             "--resolution", "60",
         ],
-        "0d9902e921a960e8f503d111b626ab31103c0e2ae3a79fc9cd6844da2ad2a294",
+        "120e08a0e2c4433d9c61022dd8277bf1ea45c45f8533955b1b9427bfa4b6c573",
     ),
     "verify": (
         ["verify", "--trials", "3", "--seed", "7", "--tau-step", "1e-3"],
@@ -228,6 +234,26 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", *G1_FLAGS, "--beta", "1.5")
         assert code == 2
         assert "beta" in err
+
+    # a case-2 game where phi1*phi2 once underflowed, a case-3 game where it once overflowed
+    @pytest.mark.parametrize("phi, x1, x2", [("1e-200", "0.5", "1.5"), ("1e160", "0.05", "0.5")])
+    def test_common_phi_scale_changes_only_the_gain(self, capsys, phi, x1, x2):
+        import subprocess
+        import sys
+
+        def flags(value):
+            return ["analyze", "--phi1", value, "--phi2", value, "--x1", x1, "--x2", x2, "--beta", "0.5"]
+
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "blotto_alliance.cli", *flags(phi)], capture_output=True
+        )
+        assert result.returncode == 0 and result.stderr == b""
+        got = json.loads(result.stdout)["transfer_analysis"]
+        code, out, _ = run_cli(capsys, *flags("1"))
+        want = json.loads(out)["transfer_analysis"]
+        assert code == 0 and got.pop("alliance_payoff_gain") > 0.0
+        del want["alliance_payoff_gain"]
+        assert got == want
 
 
 class TestCurve:

@@ -1,10 +1,11 @@
 """Transfer mechanics, mutual-benefit analysis, and the alliance optimum."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blotto_alliance import transfer_engine as te
@@ -17,6 +18,7 @@ from blotto_alliance.adversary_response import (
     normalize,
 )
 from blotto_alliance.cli import DEFAULT_VERIFY_BETAS, FIXED_SEED_GAMES
+from blotto_alliance.sweep import Axis, SweepGrid, beta_sweep, region_raster
 from blotto_alliance.transfer_engine import (
     Transfer,
     alliance_beta_threshold,
@@ -420,8 +422,29 @@ class TestAnalyze:
         assert du1 > 0.0 and du2 > 0.0
 
 
-def phi_product_fault(reason, raises=AssertionError):
-    return pytest.mark.xfail(strict=True, raises=raises, reason=reason)
+# Hypothesis draws of one parameter log-uniform in the audit's box [0.05, 5],
+# and of an efficiency above the tiny betas where the march is known to fail
+box = st.floats(min_value=math.log(0.05), max_value=math.log(5.0)).map(math.exp)
+box_betas = st.floats(min_value=0.05, max_value=1.0)
+# m for a common valuation scale 4**m: exact, and its square root 2**m is exact too
+four_powers = st.integers(min_value=-250, max_value=250)
+# scales every draw is also checked at: phi1*phi2 leaves the normal range at 4**-260
+# and 4**260, and the interval's degree-4 discriminant at 4**-130 and 4**130
+EXTREME_POWERS = (-260, -130, 130, 260)
+
+
+def scale_phi(g, m):
+    """g with both valuations times 4**m."""
+    return dataclasses.replace(g, phi1=math.ldexp(g.phi1, 2 * m), phi2=math.ldexp(g.phi2, 2 * m))
+
+
+def assert_analysis_scales_exactly(g, beta, powers):
+    """analyze at phi times 4**m equals the unscaled analysis, the gain times 4**m, for each m."""
+    want = analyze(g, beta)
+    for m in powers:
+        # repr tells -0.0 from 0.0; only the gain carries the scale
+        scaled = dataclasses.replace(want, alliance_payoff_gain=math.ldexp(want.alliance_payoff_gain, 2 * m))
+        assert repr(analyze(scale_phi(g, m), beta)) == repr(scaled)
 
 
 class TestCommonPhiScale:
@@ -433,18 +456,10 @@ class TestCommonPhiScale:
             (0.05, 0.5, 1e-100),
             (0.05, 0.5, 1e100),
             (0.5, 1.5, 1e-100),
-            pytest.param(0.05, 0.5, 1e-200, marks=phi_product_fault(
-                "phi1*phi2 underflows in the case-3 threshold and the stationary ratio: in G-dagger, tau 0.0"
-            )),
-            pytest.param(0.05, 0.5, 1e-160, marks=phi_product_fault(
-                "phi1*phi2 is subnormal: tau -0.0999992578, wrong in the 6th digit"
-            )),
-            pytest.param(0.05, 0.5, 1e160, marks=phi_product_fault(
-                "phi1*phi2 overflows: the march lands on a losing transfer", te.InternalInconsistencyError
-            )),
-            pytest.param(0.5, 1.5, 1e-200, marks=phi_product_fault(
-                "phi1*phi2 underflows to 0 in the stationary ratio's divisor", ZeroDivisionError
-            )),
+            (0.05, 0.5, 1e-200),
+            (0.05, 0.5, 1e-160),
+            (0.05, 0.5, 1e160),
+            (0.5, 1.5, 1e-200),
         ],
     )
     def test_matches_the_unit_scale(self, x1, x2, s):
@@ -453,6 +468,56 @@ class TestCommonPhiScale:
         got = analyze(GameParams(s, s, x1, x2), 0.5)
         assert (got.case_at_zero, got.in_g_dagger, got.mb_exists) == (want.case_at_zero, want.in_g_dagger, want.mb_exists)
         assert got.alliance_tau == pytest.approx(want.alliance_tau, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(box, box, box, box, box_betas, four_powers)
+    def test_point_path_is_exact_under_a_power_of_four(self, phi1, phi2, x1, x2, beta, m):
+        assert_analysis_scales_exactly(GameParams(phi1, phi2, x1, x2), beta, (m, *EXTREME_POWERS))
+
+    def test_point_path_is_exact_over_seeded_games(self, rng):
+        # at 4**-130 and 4**130 only 9 and 5 of these 800 games once moved, too few for the draws above
+        params = np.exp(rng.uniform(math.log(0.05), math.log(5.0), size=(800, 4))).tolist()
+        for game, beta in zip(params, rng.uniform(0.05, 1.0, size=800).tolist()):
+            assert_analysis_scales_exactly(GameParams(*game), beta, EXTREME_POWERS)
+
+    @settings(max_examples=50, deadline=None)
+    @given(box, box, box, box, st.lists(box_betas, min_size=1, max_size=3), four_powers)
+    def test_region_raster_is_exact_under_a_power_of_four(self, phi1, phi2, x_lo, x_hi, betas, m):
+        lo, hi = sorted((x_lo, x_hi))
+        assume(lo < hi)
+        axes = (Axis("x1", lo, hi, 6), Axis("x2", lo, hi, 6))
+        want = list(map(repr, region_raster(SweepGrid(axes, {"phi1": phi1, "phi2": phi2}, tuple(betas)))))
+        for k in (m, *EXTREME_POWERS):
+            scaled = {"phi1": math.ldexp(phi1, 2 * k), "phi2": math.ldexp(phi2, 2 * k)}
+            # no cell field carries the scale
+            assert list(map(repr, region_raster(SweepGrid(axes, scaled, tuple(betas))))) == want
+
+    @settings(max_examples=50, deadline=None)
+    @given(box, box, box, box, four_powers)
+    def test_beta_sweep_is_exact_under_a_power_of_four(self, phi1, phi2, x1, x2, m):
+        g = GameParams(phi1, phi2, x1, x2)
+        want = beta_sweep(g, (0.05, 1.0), 12)
+        # the mutual maxima admit points 1e-12 below the other player's
+        # nominal payoff, an absolute slack that no scale preserves
+        unscaled = {"beta", "mb_exists", "alliance_nonzero"}
+        skipped = {"max_u1_mutual", "max_u2_mutual"}
+        for k in (m, *EXTREME_POWERS):
+            for row_got, row_want in zip(beta_sweep(scale_phi(g, k), (0.05, 1.0), 12), want, strict=True):
+                for field in dataclasses.fields(row_want):
+                    if field.name in skipped:
+                        continue
+                    value = getattr(row_want, field.name)
+                    expected = value if field.name in unscaled else math.ldexp(value, 2 * k)
+                    assert repr(getattr(row_got, field.name)) == repr(expected), (k, field.name)
+
+    @pytest.mark.parametrize("m", [130, -132])
+    def test_interval_keeps_its_unscaled_bits(self, m):
+        # phi times 2**260 and 2**-264: the interval once ended at 0.06224295433948833
+        g = GameParams(0.09639688996757616, 3.135938930450365, 0.20266539100982064, 0.09088650054563877)
+        want = analyze(g, 1.0)
+        assert want.mb_interval == pytest.approx((0.0, 0.06227444782583058), rel=1e-15, abs=0.0)
+        got = analyze(scale_phi(g, m), 1.0)
+        assert repr(got.mb_interval) == repr(want.mb_interval) and not got.mb_interval_anomaly
 
 
 def scalar_margin(g, beta):
