@@ -13,21 +13,19 @@ Lotto payoff is convex and non-increasing in the adversary's allocation
 (phi*(1 - a/(2x)) up to a = x, phi*x/(2a) beyond, with matching slopes at
 a = x), so f is convex in j: its forward difference f(j+1) - f(j) never
 decreases, and the first j at which it stops being negative is the first
-minimizer. transfer_grid_scan finds that j by bisection, O(log n) per
-row, warm-started across its tau rows: neighbouring rows have nearly the
-same split, so only every 32nd row is bisected over all splits, and every
-other row starts from a split interpolated between them. A guess is kept
-only under a certificate, a margin far above rounding on both sides of it,
-that proves by convexity that the full bisection would return the same
-split; the few rows it rejects are bisected near the guess, then over all
-splits (see _bisect_rows). A single row, as in
-adversary_grid_best_response, runs the same bisection over all splits on
-scalar payoffs, free of numpy's per-call cost, so it returns the scan's
-bits for the same budgets. Enumerating all n + 1 splits stays only as the
-reference the bisection is tested against. Where f is flat (proportional
-games in which both players are strong) the bisection and the enumeration
-can pick different splits among ties equal to rounding; the adversary
-payoffs then differ by rounding only.
+minimizer. transfer_grid_scan finds that j for each tau row from a guess:
+the continuous minimizer of the split objective, which the single-front
+slopes give in closed form, rounded to the grid. A guess is kept only under
+a certificate, a margin far above rounding on both sides of it, that proves
+by convexity that a bisection over all splits would return the same split;
+the few rows it rejects are each bisected over all splits (see
+_bisect_rows). A single row, as in adversary_grid_best_response, runs the
+same bisection, on scalar payoffs free of numpy's per-call cost, so it
+returns the scan's bits for the same budgets. Enumerating all n + 1 splits
+stays only as the reference the bisection is tested against. Where f is
+flat (proportional games in which both players are strong) the bisection
+and the enumeration can pick different splits among ties equal to
+rounding; the adversary payoffs then differ by rounding only.
 
 Slack is estimated by finite differences: the variation of each payoff over
 one split step at the chosen split, and the variation of the relevant
@@ -54,13 +52,9 @@ THRESHOLD_BAND = 1e-3
 # Floor added to every slack, so that no verdict turns on rounding alone.
 TOLERANCE = 1e-9
 
-# The scan's warm start (see _bisect_rows): every WARM_STRIDE-th tau row is
-# bisected in full, the rows between start from an interpolated guess, a
-# rejected guess is bisected within WARM_BRACKET splits of itself, and a
-# guess is kept only when its neighbours lie CERTIFICATE_MARGIN*(phi1 + phi2)
-# above it, far beyond rounding.
-WARM_STRIDE = 32
-WARM_BRACKET = 16
+# The scan keeps a row's guessed split only when both neighbouring splits lie
+# CERTIFICATE_MARGIN*(phi1 + phi2) above it, far beyond rounding (see
+# _bisect_rows).
 CERTIFICATE_MARGIN = 1e-14
 
 
@@ -156,22 +150,48 @@ def _enumerate_rows(
     return a[j], mat1[rows, j], mat2[rows, j]
 
 
+def _split_guess(
+    phi1: float, phi2: float, x1b: np.ndarray, x2b: np.ndarray, n_split: int
+) -> np.ndarray:
+    """Each row's split index, rounded from the continuous minimizer of G.
+
+    G(a) = L1(x1b, a) + L2(x2b, 1 - a). A player's slope in the adversary's
+    allocation a is -phi/(2x) where the player is strong (a <= x) and
+    -phi*x/(2a**2) where it is weak, so G' is continuous and nondecreasing,
+    and on each regime its zero has a closed form. With c = sqrt(phi2/phi1),
+    it is 1/(1 + c*sqrt(x2/x1)) where both players are weak; if player 1 is
+    strong there, 1 - c*sqrt(x1*x2); if player 2 is strong there,
+    sqrt(x1*x2)/c. Where both are strong, G' is a constant, and the zero lies
+    outside that stretch unless phi1/x1 == phi2/x2 makes G flat on it.
+
+    Only the certificate in _bisect_rows decides whether a guess is kept, so
+    a guess that overflows or lands a split off costs time, never a bit.
+    """
+    with np.errstate(all="ignore"):
+        c, q = np.sqrt(phi2 / phi1), np.sqrt(x1b * x2b)
+        a = 1.0 / (1.0 + c * np.sqrt(x2b / x1b))
+        a = np.where(a < x1b, 1.0 - c * q, a)
+        a = np.where(1.0 - a < x2b, q / c, a)
+        # fmax and fmin take the number over a nan, so a row whose guess overflowed guesses split 0
+        return np.rint(n_split * np.fmin(np.fmax(a, 0.0), 1.0)).astype(np.intp)
+
+
 def _bisect_rows(
     phi1: float, phi2: float, x1b: np.ndarray, x2b: np.ndarray, n_split: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The same best response as _enumerate_rows, by bisection, warm-started.
+    """The same best response as _enumerate_rows: a certified guess, else bisection.
 
     The split index of a row is that of a plain bisection over [0, n] for the
     first j with f(j+1) >= f(j), which is the first minimizer because f is
-    convex (see the module docstring). Every WARM_STRIDE-th row and the last
-    are bisected so. Every other row starts from a guess g interpolated
-    between its two neighbouring bisected rows, and keeps it when g is
-    certified: (g == 0 or f(g-1) - f(g) > M) and (g == n or f(g+1) - f(g) > M),
-    with M = CERTIFICATE_MARGIN*(phi1 + phi2). A rejected guess is bisected
-    within [g - WARM_BRACKET, g + WARM_BRACKET], clipped to [0, n], and its
-    result certified again; a row that fails twice is bisected over [0, n].
+    convex (see the module docstring). Each row starts from the guess g of
+    _split_guess and keeps it when g is certified:
+    (g == 0 or f(g-1) - f(g) > M) and (g == n or f(g+1) - f(g) > M), with
+    M = CERTIFICATE_MARGIN*(phi1 + phi2). A certified row's u1 and u2 are the
+    certificate's own front payoffs at g. A rejected row is bisected over
+    [0, n] by _bisect_row.
 
-    A certified g is the plain bisection's own answer, bit for bit:
+    A certified g is the plain bisection's own answer, bit for bit, whatever
+    produced it:
 
     - payoff_vec is within 2.01u*phi of the exact payoff at its float
       arguments (u = 2**-53), and the sum of the two fronts adds one rounding,
@@ -194,53 +214,56 @@ def _bisect_rows(
     - The same bounds make the computed f fall strictly before g and rise
       strictly after it, so g is f's unique minimizer, np.argmin's answer in
       _enumerate_rows too. lotto_core.payoff equals payoff_vec bit for bit,
-      so adversary_grid_best_response's scalar bisection over [0, n] gives a
-      single row these bits as well, certified or not.
+      so _bisect_row, on scalar payoffs, gives a rejected row, or the single
+      row of adversary_grid_best_response, these bits as well.
 
     A guess on a stretch of two or more splits where f is flat within
     rounding (case 4) is never certified, so such a row falls back to the
     full bisection and lands on the same tie as it.
     """
-    a, b, _, _ = _split_grid(n_split)
+    a, b, a_floats, b_floats = _split_grid(n_split)
     margin = CERTIFICATE_MARGIN * (phi1 + phi2)
 
-    def combined(x1, x2, j):
-        return lotto_core.payoff_vec(x1, a[j], phi1) + lotto_core.payoff_vec(x2, b[j], phi2)
+    def fronts(x1, x2, j):
+        return lotto_core.payoff_vec(x1, a[j], phi1), lotto_core.payoff_vec(x2, b[j], phi2)
 
-    def bisect(x1, x2, lo, hi):
-        # the first j in [lo, hi] with f(j+1) >= f(j), or hi
-        while (open_rows := lo < hi).any():
-            mid = (lo + hi) // 2
-            # mid < hi <= n on open rows; closed rows are clamped and left as they are
-            rising = combined(x1, x2, np.minimum(mid + 1, n_split)) >= combined(x1, x2, mid)
-            hi = np.where(open_rows & rising, mid, hi)
-            lo = np.where(open_rows & ~rising, mid + 1, lo)
-        return lo
+    def combined(j):
+        u1, u2 = fronts(x1b, x2b, j)
+        return u1 + u2
 
-    def certified(x1, x2, j):
-        f = combined(x1, x2, j)
-        f_down, f_up = combined(x1, x2, np.maximum(j - 1, 0)), combined(x1, x2, np.minimum(j + 1, n_split))
-        return ((j == 0) | (f_down - f > margin)) & ((j == n_split) | (f_up - f > margin))
+    j = _split_guess(phi1, phi2, x1b, x2b, n_split)
+    u1, u2 = fronts(x1b, x2b, j)
+    f = u1 + u2
+    certified = ((j == 0) | (combined(np.maximum(j - 1, 0)) - f > margin)) & (
+        (j == n_split) | (combined(np.minimum(j + 1, n_split)) - f > margin)
+    )
+    rejected = np.flatnonzero(~certified)
+    if rejected.size:
+        x1, x2 = x1b[rejected], x2b[rejected]
+        j[rejected] = [
+            _bisect_row(phi1, phi2, r1, r2, a_floats, b_floats) for r1, r2 in zip(x1.tolist(), x2.tolist())
+        ]
+        u1[rejected], u2[rejected] = fronts(x1, x2, j[rejected])
+    return a[j], u1, u2
 
-    def full(rows):
-        return bisect(x1b[rows], x2b[rows], np.zeros_like(rows), np.full_like(rows, n_split))
 
-    is_knot = np.zeros(x1b.size, dtype=bool)
-    is_knot[::WARM_STRIDE] = True
-    is_knot[-1:] = True
-    knots, rest = np.flatnonzero(is_knot), np.flatnonzero(~is_knot)
-    j = np.empty(x1b.size, dtype=np.intp)
-    j[knots] = full(knots)
-    x1, x2 = x1b[rest], x2b[rest]
-    guess = np.rint(np.interp(rest, knots, j[knots])).astype(np.intp)
-    bad = np.flatnonzero(~certified(x1, x2, guess))
-    lo = np.maximum(guess[bad] - WARM_BRACKET, 0)
-    hi = np.minimum(guess[bad] + WARM_BRACKET, n_split)
-    guess[bad] = bisect(x1[bad], x2[bad], lo, hi)
-    bad = bad[~certified(x1[bad], x2[bad], guess[bad])]
-    j[rest] = guess
-    j[rest[bad]] = full(rest[bad])
-    return a[j], lotto_core.payoff_vec(x1b, a[j], phi1), lotto_core.payoff_vec(x2b, b[j], phi2)
+def _bisect_row(phi1: float, phi2: float, x1b: float, x2b: float, a: tuple, b: tuple) -> int:
+    """One row's split index: the first j in [0, n] with f(j+1) >= f(j), by bisection on scalar payoffs.
+
+    a and b are _split_grid's splits as float tuples, which index faster than arrays.
+    """
+
+    def f(j):
+        return lotto_core.payoff(x1b, a[j], phi1) + lotto_core.payoff(x2b, b[j], phi2)
+
+    lo, hi = 0, len(a) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if f(mid + 1) >= f(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def adversary_grid_best_response(
@@ -248,30 +271,18 @@ def adversary_grid_best_response(
 ) -> tuple[float, float]:
     """Best split fraction on front 1 and the adversary payoff it earns.
 
-    Bisects the split objective over [0, n] on scalar Lotto payoffs for the
-    first j with f(j+1) >= f(j), as _bisect_rows does for every row, so the
-    split and payoff are the scan's bits for the same budgets. That split is
-    the first minimizer, the smallest allocation on front 1 among ties; where
-    f is flat within rounding (case 4), its payoff ties the first
+    The split is _bisect_row's, the bisection _bisect_rows falls back to, so
+    the split and payoff are the scan's bits for the same budgets. That split
+    is the first minimizer, the smallest allocation on front 1 among ties;
+    where f is flat within rounding (case 4), its payoff ties the first
     minimizer's to rounding.
     """
     phi1, phi2 = induced.phi1, induced.phi2
     xa = induced.adversary_budget
     x1b, x2b = induced.x1 / xa, induced.x2 / xa
-    n_split = _n_split(split_step)
-    _, _, a, b = _split_grid(n_split)
-
-    def f(j):
-        return lotto_core.payoff(x1b, a[j], phi1) + lotto_core.payoff(x2b, b[j], phi2)
-
-    lo, hi = 0, n_split
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if f(mid + 1) >= f(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return a[lo], phi1 + phi2 - f(lo)
+    _, _, a, b = _split_grid(_n_split(split_step))
+    j = _bisect_row(phi1, phi2, x1b, x2b, a, b)
+    return a[j], phi1 + phi2 - (lotto_core.payoff(x1b, a[j], phi1) + lotto_core.payoff(x2b, b[j], phi2))
 
 
 def _split_slack_rows(

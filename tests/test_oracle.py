@@ -1,11 +1,12 @@
 """Grid oracle: enumeration examples, the single-row bisection against the
 scan's, the scan's bisection against enumeration up to rounding ties, the
-warm start against the full bisection, convergence, and independence from
-closed forms."""
+guessed and certified splits against the full bisection, convergence, and
+independence from closed forms."""
 
 import ast
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -146,7 +147,7 @@ def assert_bisection_matches_enumeration(phi1, phi2, x1b, x2b, n_split, rows_per
 
 
 def full_bisection(phi1, phi2, x1b, x2b, n_split):
-    """The scan's split search without its warm start: every row bisected over [0, n]."""
+    """The scan's split search without its guess: every row bisected over [0, n], as arrays."""
     a = np.linspace(0.0, 1.0, n_split + 1)
     b = 1.0 - a
 
@@ -170,6 +171,20 @@ def assert_warm_start_matches_full_bisection(phi1, phi2, x1b, x2b, n_split):
     for name, g, w in zip(("a_star", "u1", "u2"), got, want):
         np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64), err_msg=name)
     return got
+
+
+# unsorted budgets over six decades, 64 rows, and any split count
+RANDOM_ROWS = (
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.integers(min_value=1, max_value=1000),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+def random_rows(log_phi1, log_phi2, seed):
+    budgets = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, size=(2, 64))
+    return 10.0**log_phi1, 10.0**log_phi2, budgets[0], budgets[1]
 
 
 class TestBisectionAgainstEnumeration:
@@ -210,22 +225,26 @@ class TestBisectionAgainstEnumeration:
                 assert_bisection_matches_enumeration(g.phi1, g.phi2, x1b, x2b, n_split)
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        st.floats(min_value=-3.0, max_value=3.0),
-        st.floats(min_value=-3.0, max_value=3.0),
-        st.integers(min_value=1, max_value=1000),
-        st.integers(min_value=0, max_value=2**32 - 1),
-    )
+    @given(*RANDOM_ROWS)
     def test_random_rows(self, log_phi1, log_phi2, n_split, seed):
-        # unsorted budgets: interpolated guesses miss, so rows reach the bracket and full fallbacks
-        budgets = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, size=(2, 64))
-        phi1, phi2 = 10.0**log_phi1, 10.0**log_phi2
-        assert_bisection_matches_enumeration(phi1, phi2, budgets[0], budgets[1], n_split)
-        assert_warm_start_matches_full_bisection(phi1, phi2, budgets[0], budgets[1], n_split)
+        phi1, phi2, x1b, x2b = random_rows(log_phi1, log_phi2, seed)
+        assert_bisection_matches_enumeration(phi1, phi2, x1b, x2b, n_split)
+        assert_warm_start_matches_full_bisection(phi1, phi2, x1b, x2b, n_split)
+
+
+def fake_guess(kind, seed=0):
+    """A stand-in for _split_guess: every row at split 0, every row at split n, or random splits."""
+
+    def guess(phi1, phi2, x1b, x2b, n_split):
+        if kind == "random":
+            return np.random.default_rng(seed).integers(0, n_split, size=x1b.size, endpoint=True)
+        return np.full(x1b.size, 0 if kind == "zero" else n_split, dtype=np.intp)
+
+    return guess
 
 
 class TestWarmStart:
-    """The scan's warm-started bisection gives the full bisection's bits on every row."""
+    """The scan's guessed and certified splits give the full bisection's bits on every row."""
 
     @pytest.mark.parametrize("label", sorted(FIXED_SEED_GAMES))
     def test_every_row_of_the_audit_grid(self, label):
@@ -235,10 +254,10 @@ class TestWarmStart:
             assert_warm_start_matches_full_bisection(g.phi1, g.phi2, x1b, x2b, 1000)
 
     def test_flat_row_9374_of_the_case_2_game_at_half_efficiency(self):
-        # a flat proportional row (phi1/x1 == phi2/x2 == 1.28) whose sampled
-        # neighbours take splits 63 and 781: the guess 736 fails, and its
-        # bracket [720, 752] bisects to 725, a strict local minimum by one
-        # rounding only; the full bisection lands on split 83
+        # a flat proportional row (phi1/x1 == phi2/x2 == 1.28): f is flat within
+        # rounding from split 63 to 781, with strict local minima of one rounding
+        # only (725 is one), so no guess on it is certified, and the full
+        # bisection lands on split 83
         g = FIXED_SEED_GAMES["fixed-case-2-game"]
         _, x1b, x2b, _ = oracle_module._tau_grid(g, 0.5, OracleConfig())
         assert (x1b[9374], x2b[9374]) == (0.78125, 0.9375)
@@ -257,6 +276,62 @@ class TestWarmStart:
         for g in FIXED_SEED_GAMES.values():
             _, x1b, x2b, _ = oracle_module._tau_grid(g, 0.5, OracleConfig(tau_step=1e-3))
             assert_warm_start_matches_full_bisection(g.phi1, g.phi2, x1b, x2b, n_split)
+
+    @pytest.mark.parametrize("kind", ["zero", "n", "random"])
+    def test_the_guess_cannot_change_a_bit_on_the_audit_grid(self, monkeypatch, kind):
+        # the certificate, not the guess, decides: a bad guess reaches the fallback bisection
+        monkeypatch.setattr(oracle_module, "_split_guess", fake_guess(kind))
+        for g in FIXED_SEED_GAMES.values():
+            _, x1b, x2b, _ = oracle_module._tau_grid(g, 0.5, OracleConfig())
+            assert_warm_start_matches_full_bisection(g.phi1, g.phi2, x1b, x2b, 1000)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["zero", "n", "random"]), *RANDOM_ROWS)
+    def test_the_guess_cannot_change_a_bit_on_random_rows(self, kind, log_phi1, log_phi2, n_split, seed):
+        phi1, phi2, x1b, x2b = random_rows(log_phi1, log_phi2, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle_module, "_split_guess", fake_guess(kind, seed))
+            assert_warm_start_matches_full_bisection(phi1, phi2, x1b, x2b, n_split)
+
+    def test_the_guess_is_certified_on_all_but_a_thousandth_of_the_audit_rows(self, monkeypatch):
+        # a later edit that keeps every bit but loses the guess's accuracy fails here
+        fallback = oracle_module._bisect_row
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fallback(*args)
+
+        monkeypatch.setattr(oracle_module, "_bisect_row", counted)
+        rows = 0
+        for g in FIXED_SEED_GAMES.values():
+            for beta in DEFAULT_VERIFY_BETAS:
+                _, x1b, x2b, _ = oracle_module._tau_grid(g, beta, OracleConfig())
+                oracle_module._bisect_rows(g.phi1, g.phi2, x1b, x2b, 1000)
+                rows += x1b.size
+        assert len(calls) <= 1e-3 * rows, (len(calls), rows)
+
+    def test_extreme_budgets_are_warning_free(self):
+        x1b, x2b = np.array([1e200, 1e-200, 3.0]), np.array([1e200, 1e-200, 1e-250])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a_star, _, _ = assert_warm_start_matches_full_bisection(1.0, 2.0, x1b, x2b, 1000)
+        np.testing.assert_array_equal(a_star, np.linspace(0.0, 1.0, 1001)[[0, 414, 999]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(min_value=-20.0, max_value=20.0),
+        st.floats(min_value=-20.0, max_value=20.0),
+        st.integers(min_value=1, max_value=1000),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_budgets_over_twenty_four_decades(self, log_phi1, log_phi2, n_split, seed):
+        budgets = np.exp(np.random.default_rng(seed).uniform(math.log(1e-12), math.log(1e12), size=(2, 64)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_warm_start_matches_full_bisection(
+                math.exp(log_phi1), math.exp(log_phi2), budgets[0], budgets[1], n_split
+            )
 
 
 class TestTransferGridScan:
