@@ -27,9 +27,10 @@ flat (proportional games in which both players are strong) the bisection
 and the enumeration can pick different splits among ties equal to
 rounding; the adversary payoffs then differ by rounding only.
 
-Slack is estimated by finite differences: the variation of each payoff over
-one split step at the chosen split, and the variation of the relevant
-quantity over one tau step near its argmax, plus the TOLERANCE floor.
+Slack is estimated by finite differences: the variation of each payoff from
+the chosen split to the neighbouring grid splits, which the certificate
+already evaluates, and the variation of the relevant quantity over one tau
+step near its argmax, plus the TOLERANCE floor.
 
 transfer_grid_scan builds one OracleReport. _compare reads its verdicts and
 slacks, and appends to it one Disagreement (quantity, closed_value,
@@ -178,7 +179,7 @@ def _split_guess(
 
 def _bisect_rows(
     phi1: float, phi2: float, x1b: np.ndarray, x2b: np.ndarray, n_split: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The same best response as _enumerate_rows: a certified guess, else bisection.
 
     The split index of a row is that of a plain bisection over [0, n] for the
@@ -186,9 +187,12 @@ def _bisect_rows(
     convex (see the module docstring). Each row starts from the guess g of
     _split_guess and keeps it when g is certified:
     (g == 0 or f(g-1) - f(g) > M) and (g == n or f(g+1) - f(g) > M), with
-    M = CERTIFICATE_MARGIN*(phi1 + phi2). A certified row's u1 and u2 are the
-    certificate's own front payoffs at g. A rejected row is bisected over
-    [0, n] by _bisect_row.
+    M = CERTIFICATE_MARGIN*(phi1 + phi2). Each front is evaluated once, at
+    splits (g-1, g, g+1) clamped into [0, n]. A certified row's u1 and u2 are
+    the certificate's own front payoffs at g, and its split slack is the
+    largest change of either front's payoff from g to a neighbour. A rejected
+    row is bisected over [0, n] by _bisect_row, and its three splits are
+    evaluated again around the bisection's. Returns (a*, u1, u2, slack).
 
     A certified g is the plain bisection's own answer, bit for bit, whatever
     produced it:
@@ -221,30 +225,30 @@ def _bisect_rows(
     rounding (case 4) is never certified, so such a row falls back to the
     full bisection and lands on the same tie as it.
     """
-    a, b, a_floats, b_floats = _split_grid(n_split)
+    a, _, a_floats, b_floats = _split_grid(n_split)
     margin = CERTIFICATE_MARGIN * (phi1 + phi2)
 
     def fronts(x1, x2, j):
-        return lotto_core.payoff_vec(x1, a[j], phi1), lotto_core.payoff_vec(x2, b[j], phi2)
-
-    def combined(j):
-        u1, u2 = fronts(x1b, x2b, j)
-        return u1 + u2
+        """Both fronts' payoffs at splits (j-1, j, j+1), clamped into [0, n], as split-major (3, rows) blocks."""
+        s = a[np.stack((np.maximum(j - 1, 0), j, np.minimum(j + 1, n_split)))]
+        l1 = lotto_core.payoff_vec(x1, s, phi1)
+        np.subtract(1.0, s, out=s)  # b[k] bit for bit, since b = 1.0 - a
+        return l1, lotto_core.payoff_vec(x2, s, phi2)
 
     j = _split_guess(phi1, phi2, x1b, x2b, n_split)
-    u1, u2 = fronts(x1b, x2b, j)
-    f = u1 + u2
-    certified = ((j == 0) | (combined(np.maximum(j - 1, 0)) - f > margin)) & (
-        (j == n_split) | (combined(np.minimum(j + 1, n_split)) - f > margin)
-    )
+    l1, l2 = fronts(x1b, x2b, j)
+    f = l1 + l2
+    certified = ((j == 0) | (f[0] - f[1] > margin)) & ((j == n_split) | (f[2] - f[1] > margin))
     rejected = np.flatnonzero(~certified)
     if rejected.size:
         x1, x2 = x1b[rejected], x2b[rejected]
         j[rejected] = [
             _bisect_row(phi1, phi2, r1, r2, a_floats, b_floats) for r1, r2 in zip(x1.tolist(), x2.tolist())
         ]
-        u1[rejected], u2[rejected] = fronts(x1, x2, j[rejected])
-    return a[j], u1, u2
+        l1[:, rejected], l2[:, rejected] = fronts(x1, x2, j[rejected])
+    u1, u2 = l1[1], l2[1]
+    slack = np.maximum(np.abs(l1[::2] - u1).max(axis=0), np.abs(l2[::2] - u2).max(axis=0))
+    return a[j], u1, u2, slack
 
 
 def _bisect_row(phi1: float, phi2: float, x1b: float, x2b: float, a: tuple, b: tuple) -> int:
@@ -283,26 +287,6 @@ def adversary_grid_best_response(
     _, _, a, b = _split_grid(_n_split(split_step))
     j = _bisect_row(phi1, phi2, x1b, x2b, a, b)
     return a[j], phi1 + phi2 - (lotto_core.payoff(x1b, a[j], phi1) + lotto_core.payoff(x2b, b[j], phi2))
-
-
-def _split_slack_rows(
-    phi1: float,
-    phi2: float,
-    x1b: np.ndarray,
-    x2b: np.ndarray,
-    a_star: np.ndarray,
-    u1: np.ndarray,
-    u2: np.ndarray,
-    split_step: float,
-) -> np.ndarray:
-    """Per-row payoff variation over one split step, a finite-difference slack."""
-    slack = np.zeros_like(u1)
-    for sign in (-1.0, 1.0):
-        a = np.clip(a_star + sign * split_step, 0.0, 1.0)
-        d1 = np.abs(lotto_core.payoff_vec(x1b, a, phi1) - u1)
-        d2 = np.abs(lotto_core.payoff_vec(x2b, 1.0 - a, phi2) - u2)
-        slack = np.maximum(slack, np.maximum(d1, d2))
-    return slack
 
 
 def _tau_grid(
@@ -347,10 +331,7 @@ def transfer_grid_scan(
     pos = taus > 0.0
 
     n_split = _n_split(cfg.split_step)
-    a_star, u1, u2 = _bisect_rows(g.phi1, g.phi2, x1b, x2b, n_split)
-    row_slack = _split_slack_rows(
-        g.phi1, g.phi2, x1b, x2b, a_star, u1, u2, 1.0 / n_split
-    )
+    _, u1, u2, row_slack = _bisect_rows(g.phi1, g.phi2, x1b, x2b, n_split)
 
     du1 = u1 - u1[i0]
     du2 = u2 - u2[i0]

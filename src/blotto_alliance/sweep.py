@@ -172,7 +172,8 @@ def beta_sweep(
     """Attainable payoff maxima per efficiency value.
 
     The mutual columns maximize one player's payoff over transfers that do
-    not push the other player below their no-transfer payoff; the any
+    not push the other player below their no-transfer payoff, less a slack
+    of 1e-12*(phi1 + phi2) that scales with the valuations; the any
     columns drop that constraint; max_u12 uses the exact alliance optimum.
     Payoffs at the alliance-optimal transfer are tabulated separately since
     that transfer generally favors one player.
@@ -189,6 +190,7 @@ def beta_sweep(
     _, _, exists, tau_dag, gain = _analyze_vec(phi1, phi2, x1, x2, betas, swapped, g.adversary_budget)
     u1_nom, u2_nom = _induced_payoffs(g, 0.0, 1.0)
     u12_nom = u1_nom + u2_nom
+    slack = 1e-12 * (g.phi1 + g.phi2)
     u1_dag, u2_dag = _induced_payoffs_vec(g, tau_dag, betas)
 
     taus = np.append(_domain_grid(g.x1, g.x2), 0.0)
@@ -197,8 +199,8 @@ def beta_sweep(
     for beta, (u1_at, u2_at, max_u12, nonzero), mb in zip(betas.tolist(), alliance, exists.tolist()):
         # one beta row at a time keeps every temporary one tau grid long
         u1, u2 = _induced_payoffs_vec(g, taus, beta)
-        max_u1_mut = float(np.max(u1, where=u2 >= u2_nom - 1e-12, initial=-math.inf))
-        max_u2_mut = float(np.max(u2, where=u1 >= u1_nom - 1e-12, initial=-math.inf))
+        max_u1_mut = float(np.max(u1, where=u2 >= u2_nom - slack, initial=-math.inf))
+        max_u2_mut = float(np.max(u2, where=u1 >= u1_nom - slack, initial=-math.inf))
         rows.append(
             BetaSweepRow(
                 beta=beta,

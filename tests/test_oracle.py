@@ -1,11 +1,15 @@
 """Grid oracle: enumeration examples, the single-row bisection against the
 scan's, the scan's bisection against enumeration up to rounding ties, the
-guessed and certified splits against the full bisection, convergence, and
-independence from closed forms."""
+guessed and certified splits against the full bisection, the split slack
+against the certificate's neighbour payoffs, pins of the scan's bits, kernel
+calls and memory, convergence, and independence from closed forms."""
 
 import ast
+import dataclasses
+import hashlib
 import inspect
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +22,7 @@ from blotto_alliance.adversary_response import GameParams
 from blotto_alliance.cli import DEFAULT_VERIFY_BETAS, FIXED_SEED_GAMES, closed_form_summary
 from blotto_alliance.oracle import (
     OracleConfig,
+    OracleReport,
     adversary_grid_best_response,
     transfer_grid_scan,
 )
@@ -57,7 +62,7 @@ def one_row(g, split_step, rows):
     """(a*, w) of a best-response routine over arrays, on the one row of g's induced budgets."""
     xa = g.adversary_budget
     x1b, x2b = np.array([g.x1 / xa]), np.array([g.x2 / xa])
-    a_star, u1, u2 = rows(g.phi1, g.phi2, x1b, x2b, oracle_module._n_split(split_step))
+    a_star, u1, u2 = rows(g.phi1, g.phi2, x1b, x2b, oracle_module._n_split(split_step))[:3]
     return float(a_star[0]), g.phi1 + g.phi2 - float(u1[0] + u2[0])
 
 
@@ -131,7 +136,7 @@ def assert_bisection_matches_enumeration(phi1, phi2, x1b, x2b, n_split, rows_per
     stretch decides which of the tied splits each method lands on.
     Enumeration runs slice by slice to keep its row-by-split matrices small.
     """
-    a_b, u1_b, u2_b = oracle_module._bisect_rows(phi1, phi2, x1b, x2b, n_split)
+    a_b, u1_b, u2_b = oracle_module._bisect_rows(phi1, phi2, x1b, x2b, n_split)[:3]
     tol = 1e-12 * (phi1 + phi2)
     ties = 0
     for lo in range(0, x1b.size, rows_per_slice):
@@ -166,7 +171,7 @@ def full_bisection(phi1, phi2, x1b, x2b, n_split):
 
 def assert_warm_start_matches_full_bisection(phi1, phi2, x1b, x2b, n_split):
     """_bisect_rows against full_bisection: a*, u1 and u2 with the same bits, sign of zero included."""
-    got = oracle_module._bisect_rows(phi1, phi2, x1b, x2b, n_split)
+    got = oracle_module._bisect_rows(phi1, phi2, x1b, x2b, n_split)[:3]
     want = full_bisection(phi1, phi2, x1b, x2b, n_split)
     for name, g, w in zip(("a_star", "u1", "u2"), got, want):
         np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64), err_msg=name)
@@ -332,6 +337,115 @@ class TestWarmStart:
             assert_warm_start_matches_full_bisection(
                 math.exp(log_phi1), math.exp(log_phi2), budgets[0], budgets[1], n_split
             )
+
+
+def assert_slack_is_the_certificates_own(phi1, phi2, x1b, x2b, n_split):
+    """_bisect_rows' slack against the neighbour payoffs restated here, and against the one-step formula it replaced.
+
+    The slack must equal, bit for bit, the largest |L(a[j +- 1]) - u| over
+    both fronts, with the neighbours clamped into [0, n]. The formula it
+    replaced took the payoffs at a* +- 1/n, clipped into [0, 1], which can
+    miss the neighbouring grid split by an ulp. Returns, per row, the gap
+    between the two slacks and the largest change of either payoff between
+    the grid neighbour and the one-step one, which bounds that gap up to
+    rounding.
+    """
+    a_star, u1, u2, slack = oracle_module._bisect_rows(phi1, phi2, x1b, x2b, n_split)
+    a = np.linspace(0.0, 1.0, n_split + 1)
+    j = np.searchsorted(a, a_star)
+    np.testing.assert_array_equal(a[j], a_star)
+    grid = a[np.stack((np.maximum(j - 1, 0), np.minimum(j + 1, n_split)))]
+    step = np.clip(a_star + np.array([[-1.0], [1.0]]) * (1.0 / n_split), 0.0, 1.0)
+    p1, q1 = (lotto_core.payoff_vec(x1b, s, phi1) for s in (grid, step))
+    p2, q2 = (lotto_core.payoff_vec(x2b, 1.0 - s, phi2) for s in (grid, step))
+    want = np.maximum(np.abs(p1 - u1), np.abs(p2 - u2)).max(axis=0)
+    np.testing.assert_array_equal(slack.view(np.uint64), want.view(np.uint64))
+    old = np.maximum(np.abs(q1 - u1), np.abs(q2 - u2)).max(axis=0)
+    drift = np.maximum(np.abs(p1 - q1), np.abs(p2 - q2)).max(axis=0)
+    return np.abs(slack - old), drift
+
+
+class TestSplitSlack:
+    """The split slack is the change of either payoff to the splits the certificate already evaluates."""
+
+    @pytest.mark.parametrize("label", sorted(FIXED_SEED_GAMES))
+    def test_fixed_games_on_the_audit_grid(self, label):
+        g = FIXED_SEED_GAMES[label]
+        _, x1b, x2b, _ = oracle_module._tau_grid(g, 0.5, OracleConfig())
+        gap, _ = assert_slack_is_the_certificates_own(g.phi1, g.phi2, x1b, x2b, 1000)
+        assert np.all(gap <= 1e-15 * (g.phi1 + g.phi2)), gap.max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(*RANDOM_ROWS)
+    def test_random_rows(self, log_phi1, log_phi2, n_split, seed):
+        # a* + 1/n can round to 1 - 2**-53 where the grid has 1, so front 2 sees 1.1e-16
+        # for 0 and, against a budget of 1e-3, moves by 5e-14 of phi2: the gap is that drift
+        phi1, phi2, x1b, x2b = random_rows(log_phi1, log_phi2, seed)
+        gap, drift = assert_slack_is_the_certificates_own(phi1, phi2, x1b, x2b, n_split)
+        assert np.all(gap <= drift + 1e-15 * (phi1 + phi2)), (gap - drift).max()
+        assert np.all(gap[drift == 0.0] == 0.0)
+
+
+# sha256 of the float64 bytes of each numeric OracleReport field over the four
+# fixed games (sorted by label) at the five verify betas, at the default grid steps
+SCAN_FIELD_DIGESTS = {
+    "mb_exists_grid": "f3976ed32f6e0e6acb839e88d2f60438b0ade5a86b5b952ce5be04ad7282ca89",
+    "alliance_argmax_tau": "4262a86d5258a246253b780d05bb44a85604cdd00ca7fdd992771a5e410c6b1e",
+    "alliance_max": "242687e0108e1b38167d91471f9f6dc9dbbbe172297caa680c328338fddd4b34",
+    "mutual_margin": "6676b0d732ba8adece31e7fe2157a0aa9111bf376872c88aa6efab2ae4bbcf4e",
+    "positive_tau_mutual": "b393978842a0fa3d3e1470196f098f473f9678e72463cb65ec4ab5581856c2e4",
+    "alliance_gain_grid": "841edfff7f17f0f3e6fe803f98a52ffe0d309fd0507e3a4d3767d3717cf8dd09",
+    "tau_count": "4e9d14468c148901997a492807367f61b353fb558ed96352893f48d4c1a91725",
+    "slack_mutual": "d8a85eb9c2f9a408ce716a44e8c38b5a704027a7e2e35ce24cc42d57011e366a",
+    "slack_alliance": "50f37fe85c4ece24c18ecf0beb6030185fb320a9878445784fe680c1ada5192e",
+}
+
+
+class TestScanCost:
+    """Pins of the scan's bits, its kernel calls and its memory, so that a faster scan must show the same bytes."""
+
+    def test_every_numeric_report_field_keeps_its_bits(self):
+        reports = [
+            transfer_grid_scan(g, beta, OracleConfig())
+            for _, g in sorted(FIXED_SEED_GAMES.items())
+            for beta in DEFAULT_VERIFY_BETAS
+        ]
+        names = [f.name for f in dataclasses.fields(OracleReport) if f.name != "disagreements"]
+        got = {
+            name: hashlib.sha256(np.array([getattr(r, name) for r in reports], dtype="<f8").tobytes()).hexdigest()
+            for name in names
+        }
+        assert [name for name in names if got[name] != SCAN_FIELD_DIGESTS[name]] == []
+
+    def test_a_scan_without_rejected_rows_calls_the_kernel_twice(self, monkeypatch):
+        # one call per front, each on the certificate's three splits
+        calls = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def call(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(lotto_core, "payoff_vec")
+        counted(oracle_module, "_bisect_row")
+        transfer_grid_scan(FIXED_SEED_GAMES["fixed-case-3-game"], 0.1, OracleConfig())
+        assert calls == ["payoff_vec", "payoff_vec"]
+
+    def test_peak_allocation_stays_within_24_row_arrays(self):
+        g = FIXED_SEED_GAMES["fixed-case-1-game"]
+        transfer_grid_scan(g, 0.1, OracleConfig())  # builds the cached split grid outside the trace
+        tracemalloc.start()
+        try:
+            report = transfer_grid_scan(g, 0.1, OracleConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.tau_count == 49_999
+        assert peak <= 24 * 8 * report.tau_count, peak / (8 * report.tau_count)
 
 
 class TestTransferGridScan:

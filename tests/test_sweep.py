@@ -47,6 +47,7 @@ def scalar_beta_sweep(g, beta_range, steps):
     """beta_sweep one row at a time, the alliance columns through the point path."""
     lo, hi = beta_range
     u1_nom, u2_nom = te._induced_payoffs(g, 0.0, 1.0)
+    slack = 1e-12 * (g.phi1 + g.phi2)
     taus = np.append(te._domain_grid(g.x1, g.x2), 0.0)
     rows = []
     for i in range(steps):
@@ -57,8 +58,8 @@ def scalar_beta_sweep(g, beta_range, steps):
         rows.append(
             BetaSweepRow(
                 beta, u1_nom, u2_nom, u1_nom + u2_nom,
-                float(np.max(u1, where=u2 >= u2_nom - 1e-12, initial=-math.inf)),
-                float(np.max(u2, where=u1 >= u1_nom - 1e-12, initial=-math.inf)),
+                float(np.max(u1, where=u2 >= u2_nom - slack, initial=-math.inf)),
+                float(np.max(u2, where=u1 >= u1_nom - slack, initial=-math.inf)),
                 float(np.max(u1)), float(np.max(u2)), u1_nom + u2_nom + gain,
                 u1_dag, u2_dag, te.mb_exists(g, beta), tau_dag != 0.0,
             )

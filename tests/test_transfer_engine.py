@@ -438,6 +438,18 @@ def scale_phi(g, m):
     return dataclasses.replace(g, phi1=math.ldexp(g.phi1, 2 * m), phi2=math.ldexp(g.phi2, 2 * m))
 
 
+def assert_beta_sweep_scales_exactly(g, powers):
+    """beta_sweep's payoff columns times exactly 4**m, and its other columns unchanged, for each m."""
+    want = beta_sweep(g, (0.05, 1.0), 12)
+    unscaled = {"beta", "mb_exists", "alliance_nonzero"}
+    for k in powers:
+        for row_got, row_want in zip(beta_sweep(scale_phi(g, k), (0.05, 1.0), 12), want, strict=True):
+            for field in dataclasses.fields(row_want):
+                value = getattr(row_want, field.name)
+                expected = value if field.name in unscaled else math.ldexp(value, 2 * k)
+                assert repr(getattr(row_got, field.name)) == repr(expected), (g, k, row_want.beta, field.name)
+
+
 def assert_analysis_scales_exactly(g, beta, powers):
     """analyze at phi times 4**m equals the unscaled analysis, the gain times 4**m, for each m."""
     want = analyze(g, beta)
@@ -495,20 +507,13 @@ class TestCommonPhiScale:
     @settings(max_examples=50, deadline=None)
     @given(box, box, box, box, four_powers)
     def test_beta_sweep_is_exact_under_a_power_of_four(self, phi1, phi2, x1, x2, m):
-        g = GameParams(phi1, phi2, x1, x2)
-        want = beta_sweep(g, (0.05, 1.0), 12)
-        # the mutual maxima admit points 1e-12 below the other player's
-        # nominal payoff, an absolute slack that no scale preserves
-        unscaled = {"beta", "mb_exists", "alliance_nonzero"}
-        skipped = {"max_u1_mutual", "max_u2_mutual"}
-        for k in (m, *EXTREME_POWERS):
-            for row_got, row_want in zip(beta_sweep(scale_phi(g, k), (0.05, 1.0), 12), want, strict=True):
-                for field in dataclasses.fields(row_want):
-                    if field.name in skipped:
-                        continue
-                    value = getattr(row_want, field.name)
-                    expected = value if field.name in unscaled else math.ldexp(value, 2 * k)
-                    assert repr(getattr(row_got, field.name)) == repr(expected), (k, field.name)
+        assert_beta_sweep_scales_exactly(GameParams(phi1, phi2, x1, x2), (m, *EXTREME_POWERS))
+
+    def test_beta_sweep_is_exact_over_seeded_games(self, rng):
+        # an absolute 1e-12 slack in the mutual columns moved 700 to 705 of these 720 rows at each m < 0
+        params = np.exp(rng.uniform(math.log(0.05), math.log(5.0), size=(60, 4))).tolist()
+        for game in params:
+            assert_beta_sweep_scales_exactly(GameParams(*game), (-250, -100, -20, 20, 100, 250))
 
     @pytest.mark.parametrize("m", [130, -132])
     def test_interval_keeps_its_unscaled_bits(self, m):
