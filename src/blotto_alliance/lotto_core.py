@@ -32,9 +32,11 @@ def payoff_vec(player_budget, adversary_budget, total_value: float | np.ndarray)
     x = np.asarray(player_budget, dtype=float)
     xa = np.asarray(adversary_budget, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero budget's branch is never selected
-        weak = total_value * x / (2.0 * xa)
-        strong = total_value * (1.0 - xa / (2.0 * x))
-    return np.where(xa == 0.0, total_value, np.where(x <= xa, weak, strong))
+        # asarray: on 0-d inputs the arithmetic returns a scalar, which copyto cannot write into
+        out = np.asarray(total_value * (1.0 - xa / (2.0 * x)))
+        np.copyto(out, total_value * x / (2.0 * xa), where=x <= xa)
+    np.copyto(out, total_value, where=xa == 0.0)
+    return out
 
 
 __all__ = ["payoff", "payoff_vec"]

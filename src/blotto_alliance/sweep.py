@@ -8,12 +8,10 @@ a sweep over the efficiency beta tabulating attainable payoff maxima.
 Rasters depict only the oriented half plane phi2/phi1 <= x2/x1; cells on
 the other side are marked out of frame and carry no analysis fields.
 
-The raster sends every in-frame cell at every beta, and the beta sweep all
-its beta rows, through one call of the bulk analysis
-(transfer_engine._analyze_vec); both equal the scalar point path bit for
-bit, and a failing input raises the point path's own error for the first
-failing (beta, cell) or beta. The beta sweep still scans its transfer grid
-one beta row at a time.
+The raster sends every in-frame cell at every beta through one call of
+transfer_engine._analyze_vec, which equals the scalar point path bit for
+bit and raises its error for the first failing (beta, cell). The beta
+sweep's rows are point queries, one beta at a time.
 """
 
 import itertools
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from blotto_alliance.adversary_response import Case, GameParams, normalize
+from blotto_alliance.adversary_response import Case, GameParams
 from blotto_alliance.transfer_engine import (
     _analyze_vec,
     _check_beta,
@@ -30,6 +28,8 @@ from blotto_alliance.transfer_engine import (
     _induced_payoffs,
     _induced_payoffs_vec,
     _tau_bounds,
+    alliance_optimal,
+    mb_exists,
 )
 
 
@@ -184,20 +184,19 @@ def beta_sweep(
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
 
-    gn, swapped = normalize(g)
-    phi1, phi2, x1, x2 = gn.phi1, gn.phi2, gn.x1, gn.x2
-    betas = lo + (hi - lo) * np.arange(steps) / (steps - 1)
-    _, _, exists, tau_dag, gain = _analyze_vec(phi1, phi2, x1, x2, betas, swapped, g.adversary_budget)
+    # k/(steps - 1) can round the last row past hi
+    betas = np.minimum(lo + (hi - lo) * np.arange(steps) / (steps - 1), hi)
     u1_nom, u2_nom = _induced_payoffs(g, 0.0, 1.0)
     u12_nom = u1_nom + u2_nom
     slack = 1e-12 * (g.phi1 + g.phi2)
-    u1_dag, u2_dag = _induced_payoffs_vec(g, tau_dag, betas)
 
     taus = np.append(_domain_grid(g.x1, g.x2), 0.0)
     rows = []
-    alliance = zip(u1_dag.tolist(), u2_dag.tolist(), (u12_nom + gain).tolist(), (tau_dag != 0.0).tolist())
-    for beta, (u1_at, u2_at, max_u12, nonzero), mb in zip(betas.tolist(), alliance, exists.tolist()):
-        # one beta row at a time keeps every temporary one tau grid long
+    for beta in betas.tolist():
+        # the point path's order, so a failing game raises its first error
+        mb = mb_exists(g, beta)
+        tau_dag, gain = alliance_optimal(g, beta)
+        u1_at, u2_at = _induced_payoffs(g, tau_dag, beta)
         u1, u2 = _induced_payoffs_vec(g, taus, beta)
         max_u1_mut = float(np.max(u1, where=u2 >= u2_nom - slack, initial=-math.inf))
         max_u2_mut = float(np.max(u2, where=u1 >= u1_nom - slack, initial=-math.inf))
@@ -211,11 +210,11 @@ def beta_sweep(
                 max_u2_mutual=max_u2_mut,
                 max_u1_any=float(np.max(u1)),
                 max_u2_any=float(np.max(u2)),
-                max_u12=max_u12,
+                max_u12=u12_nom + gain,
                 u1_at_alliance_opt=u1_at,
                 u2_at_alliance_opt=u2_at,
                 mb_exists=mb,
-                alliance_nonzero=nonzero,
+                alliance_nonzero=tau_dag != 0.0,
             )
         )
     return rows

@@ -45,15 +45,14 @@ and changes nothing else, while the payoffs stay normal floats.
 
 The point path, the mutual-benefit test then the alliance march, also runs
 as one array pass, _analyze_vec, over broadcast arrays of oriented
-unit-adversary games; the region raster and the beta sweep each call it
-once. Each closed-form rule is written once and both paths call it: the
-mutual-benefit rule, the transfer-domain edge, the seed polynomials, the
-stationary ratios and the alliance gain. The array pass takes the scalar
-steps in the same order, so every element equals the scalar result bit for
-bit, the sign of zero included. It only flags the games the point path
-rejects, then reruns the point path to raise that path's own error, so only
-the scalar path words a threshold-range, seed-overflow or losing-transfer
-error. Point queries (analyze, alliance_optimal) stay scalar.
+unit-adversary games; only the region raster calls it. Each closed-form
+rule is written once and both paths call it: the mutual-benefit rule, the
+transfer-domain edge, the seed polynomials, the stationary ratios and the
+alliance gain. The array pass takes the scalar steps in the same order, so
+every element equals the scalar result bit for bit, the sign of zero
+included. It only flags the games the point path rejects, then reruns the
+point path to raise that path's own error, so only the scalar path words a
+threshold-range, seed-overflow or losing-transfer error.
 """
 
 import math
@@ -490,16 +489,15 @@ def _march_alliance_vec(phi1, phi2, x1, x2, beta) -> np.ndarray:
     return t_dag
 
 
-def _analyze_vec(phi1, phi2, x1, x2, beta, swapped: bool = False, xa: float = 1.0):
+def _analyze_vec(phi1, phi2, x1, x2, beta):
     """The point path, _mutual_benefit_f then _alliance_optimal_f, per element, bit for bit.
 
     The five arguments are oriented unit-adversary games and broadcast
     against each other; (case, threshold, mb_exists, tau, gain) come back in
-    their broadcast shape, tau mapped to the caller's frame by swapped and xa
-    as alliance_optimal maps it. Rounding that overflows stays silent, as it
-    does on Python floats. The array passes only flag the elements the point
-    path rejects; if any is flagged, the point path reruns over the elements
-    in broadcast order and raises its first error.
+    their broadcast shape, tau in the oriented frame. Rounding that overflows
+    stays silent, as it does on Python floats. The array passes only flag the
+    elements the point path rejects; if any is flagged, the point path reruns
+    over the elements in broadcast order and raises its first error.
     """
     _check_beta(*np.asarray(beta, dtype=float).ravel().tolist())
     args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (phi1, phi2, x1, x2, beta)))
@@ -518,9 +516,9 @@ def _analyze_vec(phi1, phi2, x1, x2, beta, swapped: bool = False, xa: float = 1.
     if (~((cube > 0.0) & (cube < math.inf)) | (~dagger & (overflow | losing))).any():
         for game in zip(*(v.tolist() for v in (phi1, phi2, x1, x2, beta))):
             _mutual_benefit_f(*game)
-            _alliance_optimal_f(*game, swapped, xa)
+            _alliance_optimal_f(*game, False, 1.0)
         raise InternalInconsistencyError("the array pass rejects a game that the point path accepts")
-    tau = np.where(dagger, 0.0, (t_dag if swapped else -t_dag) * xa)
+    tau = np.where(dagger, 0.0, -t_dag)
     # max(gain, 0.0): a difference of equal sums is +0.0, so no -0.0 reaches here
     gain = np.where(dagger | (gain < 0.0), 0.0, gain)
     results = case, threshold, _mb_exists_rule(case, threshold, beta), tau, gain

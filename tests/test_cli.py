@@ -427,6 +427,16 @@ class TestBetaSweep:
         assert code == 2
         assert "beta range" in err
 
+    def test_last_row_is_beta_max(self, capsys):
+        # 0.075 + 0.925*82/82 rounds to 1.0000000000000002
+        code, out, err = run_cli(
+            capsys, "beta-sweep", *G1_FLAGS,
+            "--beta-min", "0.075", "--beta-max", "1", "--steps", "83",
+        )
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert len(rows) == 83 and float(rows[-1][0]) == 1.0
+
 
 class TestVerify:
     VERIFY_FLAGS = [
@@ -667,3 +677,49 @@ class TestConfigFile:
         config = json.loads(out)["config"]
         assert config["beta_list"] == [0.1, 0.3, 0.5, 0.8, 1.0]
         assert config["split_step"] == 0.001
+
+
+REGION_FLAGS = [
+    "region", "--phi1", "1.2", "--phi2", "1", "--beta-list", "0.5", "--x1-min", "0.1", "--x1-max", "1",
+    "--x2-min", "0.1", "--x2-max", "1", "--resolution", "3",
+]
+CURVE_FLAGS = ["curve", *G1_FLAGS, "--beta", "0.8", "--tau-min", "-1", "--tau-max", "0.5", "--steps", "5"]
+
+
+def with_flag(argv, flag, value):
+    """argv with the value after flag replaced."""
+    out = list(argv)
+    out[out.index(flag) + 1] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "argv, config, error",
+    [
+        (with_flag(REGION_FLAGS, "--x1-min", "0"), None, "axis x1: lower must be positive for budget axes"),
+        (with_flag(REGION_FLAGS, "--phi1", "-1"), None, "phi1 and phi2 must be positive"),
+        (with_flag(CURVE_FLAGS, "--steps", "1"), None, "steps must be >= 2, got 1"),
+        (
+            ["beta-sweep", *G1_FLAGS, "--beta-min", "0.1", "--beta-max", "1", "--steps", "1"],
+            None,
+            "steps must be >= 2, got 1",
+        ),
+        (with_flag(CURVE_FLAGS, "--tau-min", "0.6"), None, "tau range must satisfy lo < hi"),
+        (["verify", "--trials", "0"], None, "trials must be >= 1, got 0"),
+        (["verify", "--trials", "1", "--beta-list", "x"], None, "malformed beta list 'x'"),
+        (["verify", "--trials", "1", "--beta-list", ","], None, "beta list must be nonempty"),
+        (["analyze", "--config", "{cfg}"], "phi1 1\n", "{cfg}:1: expected 'key = value', got 'phi1 1'"),
+        (["analyze", "--config", "{cfg}"], None, "cannot read config file {cfg}: "),
+    ],
+    ids=[
+        "region-x1-min", "region-phi1", "curve-steps", "beta-sweep-steps", "curve-tau-range",
+        "verify-trials", "verify-beta-list", "verify-empty-beta-list", "config-line", "config-missing",
+    ],
+)
+def test_rejected_input_exits_2_with_one_line(capsys, tmp_path, argv, config, error):
+    cfg = tmp_path / "game.cfg"
+    if config is not None:
+        cfg.write_text(config)
+    code, out, err = run_cli(capsys, *(a.format(cfg=cfg) for a in argv))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {error.format(cfg=cfg)}")

@@ -89,6 +89,14 @@ class TestVectorized:
         expected = np.array([payoff(*args) for args in zip(x.tolist(), xa.tolist(), phi.tolist())])
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
+    @pytest.mark.parametrize("x, xa", [(0.5, 0.3), (0.2, 0.3), (0.3, 0.3), (0.5, 0.0), (0.0, 0.0)])
+    def test_zero_dimensional_inputs(self, x, xa):
+        # floats and 0-d arrays both give a 0-d array
+        for args in [(x, xa, 1.7), (np.array(x), np.array(xa), np.array(1.7))]:
+            out = payoff_vec(*args)
+            assert isinstance(out, np.ndarray) and out.shape == ()
+            assert out.tobytes() == np.float64(payoff(x, xa, 1.7)).tobytes()
+
     def test_broadcasts(self):
         x = np.array([[0.5], [2.0]])
         xa = np.array([0.25, 0.5, 1.0])

@@ -435,7 +435,7 @@ class TestScanCost:
         transfer_grid_scan(FIXED_SEED_GAMES["fixed-case-3-game"], 0.1, OracleConfig())
         assert calls == ["payoff_vec", "payoff_vec"]
 
-    def test_peak_allocation_stays_within_24_row_arrays(self):
+    def test_peak_allocation_stays_within_21_row_arrays(self):
         g = FIXED_SEED_GAMES["fixed-case-1-game"]
         transfer_grid_scan(g, 0.1, OracleConfig())  # builds the cached split grid outside the trace
         tracemalloc.start()
@@ -445,7 +445,7 @@ class TestScanCost:
         finally:
             tracemalloc.stop()
         assert report.tau_count == 49_999
-        assert peak <= 24 * 8 * report.tau_count, peak / (8 * report.tau_count)
+        assert peak <= 21 * 8 * report.tau_count, peak / (8 * report.tau_count)
 
 
 class TestTransferGridScan:
@@ -488,6 +488,11 @@ class TestTransferGridScan:
     def test_rejects_oversized_tau_step(self):
         with pytest.raises(ValueError, match="tau_step"):
             transfer_grid_scan(G1, 1.0, OracleConfig(tau_step=0.75))
+
+    @pytest.mark.parametrize("beta", [0.0, -0.5, 1.5, math.nan])
+    def test_rejects_beta_outside_the_unit_interval(self, beta):
+        with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\]"):
+            transfer_grid_scan(G1, beta, COARSE)
 
 
 class TestConvergence:
@@ -538,6 +543,19 @@ class TestAgreementWithClosedForms:
         report = transfer_grid_scan(G1, 1.0, COARSE, broken)
         quantities = {d.quantity for d in report.disagreements}
         assert {"mb_exists", "alliance_nonzero", "alliance_value", "adversary_split"} <= quantities
+
+    def test_planted_benefit_the_grid_does_not_find_is_caught(self):
+        # at beta 0.1 the game is below both thresholds (0.416 and 0.158) and
+        # outside both bands; claim a mutual and an alliance benefit anyway
+        g = FIXED_SEED_GAMES["fixed-case-3-game"]
+        closed = closed_form_summary(g, 0.1)
+        assert not closed.mb_exists and closed.tau_dagger == 0.0
+        broken = dataclasses.replace(closed, mb_exists=True, mb_margin=1.0, tau_dagger=-0.01, alliance_gain=1.0)
+        report = transfer_grid_scan(g, 0.1, COARSE, broken)
+        assert [(d.quantity, d.closed_value, d.grid_value) for d in report.disagreements] == [
+            ("mb_exists", 1.0, 0.0),
+            ("alliance_nonzero", 1.0, 0.0),
+        ]
 
 
 class TestIndependence:

@@ -51,7 +51,7 @@ def scalar_beta_sweep(g, beta_range, steps):
     taus = np.append(te._domain_grid(g.x1, g.x2), 0.0)
     rows = []
     for i in range(steps):
-        beta = lo + (hi - lo) * i / (steps - 1)
+        beta = min(lo + (hi - lo) * i / (steps - 1), hi)
         u1, u2 = te._induced_payoffs_vec(g, taus, beta)
         tau_dag, gain = te.alliance_optimal(g, beta)
         u1_dag, u2_dag = te._induced_payoffs(g, tau_dag, beta)
@@ -183,6 +183,8 @@ class TestRegionRaster:
             Axis("x1", 2.0, 1.0, 5)
         with pytest.raises(ValueError, match="beta"):
             SweepGrid(axes=(Axis("x1", 0.1, 1.0, 3),), fixed={}, beta_list=(1.5,))
+        with pytest.raises(ValueError, match="beta_list must be nonempty"):
+            SweepGrid(axes=(Axis("x1", 0.1, 1.0, 3),), fixed={}, beta_list=())
         with pytest.raises(ValueError, match="fixes exactly"):
             SweepGrid(
                 axes=(Axis("x1", 0.1, 1.0, 3), Axis("x2", 0.1, 1.0, 3)),
@@ -289,6 +291,20 @@ class TestBetaSweep:
             te.alliance_optimal(G1, betas[1])
         assert swept.value.diagnostics == point.value.diagnostics
         assert str(swept.value) == str(point.value)
+
+    def test_rows_stay_inside_the_beta_range(self, rng):
+        # lo + (hi - lo)*k/(steps - 1) rounds past hi = 1 at k = steps - 1 for
+        # about one decimal lo in 75 (1 - lo is exact for a multiple of 2**-53,
+        # so a plain uniform draw never overshoots); run every such draw of
+        # 1,000 and ten others
+        lo = rng.integers(1, 1000, size=1000) / 1000
+        steps = rng.integers(2, 200, size=1000)
+        overshoots = lo + (1.0 - lo) * (steps - 1) / (steps - 1) > 1.0
+        assert overshoots.sum() >= 5
+        picked = np.concatenate([np.flatnonzero(overshoots), np.flatnonzero(~overshoots)[:10]])
+        for lo_k, steps_k in [(0.075, 83), (0.291, 57), *zip(lo[picked].tolist(), steps[picked].tolist())]:
+            betas = [row.beta for row in beta_sweep(G1, (lo_k, 1.0), steps_k)]
+            assert betas[0] == lo_k and all(lo_k <= b <= 1.0 for b in betas)
 
     def test_range_validation(self):
         with pytest.raises(ValueError, match="beta range"):

@@ -60,6 +60,11 @@ class TestApplyTransfer:
         with pytest.raises(ValueError, match="tau"):
             apply_transfer(G1, Transfer(tau=tau, beta=1.0))
 
+    @pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_tau(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            Transfer(tau=tau, beta=1.0)
+
     @pytest.mark.parametrize("beta", [0.0, -0.5, 1.5])
     def test_beta_domain(self, beta):
         with pytest.raises(ValueError, match="beta"):
@@ -105,6 +110,11 @@ class TestPayoffsAt:
             assert abs(p.u1 + p.u2 + p.u_adversary - total) <= 1e-12 * total
             assert -1e-12 <= p.u1 <= g.phi1 + 1e-12
             assert -1e-12 <= p.u2 <= g.phi2 + 1e-12
+
+    @pytest.mark.parametrize("tau", [-1.5, 0.5])
+    def test_domain_errors(self, tau):
+        with pytest.raises(ValueError, match=r"tau must lie in \(-1.5, 0.5\)"):
+            payoffs_at(G1, Transfer(tau=tau, beta=1.0))
 
     def test_adversary_budget_scaling(self):
         # scaling every budget (players and adversary) leaves payoffs unchanged
@@ -702,17 +712,6 @@ class TestArrayMarch:
         monkeypatch.setattr(te, "_march_alliance_vec", lambda phi1, phi2, x1, x2, beta: np.full_like(x1, 1.4))
         with pytest.raises(te.InternalInconsistencyError, match="point path accepts"):
             te._analyze_vec(G1.phi1, G1.phi2, G1.x1, G1.x2, [0.05, 0.1])
-
-    def test_mapped_to_the_callers_frame(self):
-        # swapped and xa map tau back as alliance_optimal does, zeros included
-        g = GameParams(1.2, 1.0, 4.5, 1.5, adversary_budget=3.0)
-        gn, swapped = normalize(g)
-        betas = np.array([0.01, 0.05, 0.3, 1.0])
-        _, _, _, tau, gain = te._analyze_vec(gn.phi1, gn.phi2, gn.x1, gn.x2, betas, swapped, g.adversary_budget)
-        expected = [alliance_optimal(g, b) for b in betas.tolist()]
-        assert swapped and expected[0] == (0.0, 0.0)
-        assert_bits_equal(tau, [t for t, _ in expected])
-        assert_bits_equal(gain, [v for _, v in expected])
 
 
 class TestThresholdRange:
