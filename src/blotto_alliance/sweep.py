@@ -11,7 +11,14 @@ the other side are marked out of frame and carry no analysis fields.
 The raster sends every in-frame cell at every beta through one call of
 transfer_engine._analyze_vec, which equals the scalar point path bit for
 bit and raises its error for the first failing (beta, cell). The beta
-sweep's rows are point queries, one beta at a time.
+sweep's alliance columns are point queries, one beta at a time. Its four
+payoff maxima are maxima over candidate transfers in closed form, in either
+donation direction: zero and the domain edges; the case boundaries and the
+proportional band's edges, each read on both sides; each player's
+stationary points; and the crossings of each player's no-transfer payoff.
+Every candidate is a real transfer taken at its true payoffs, so a maximum
+never exceeds what some transfer attains. All rows' candidates go through
+one array call.
 """
 
 import itertools
@@ -20,13 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from blotto_alliance.adversary_response import Case, GameParams
+from blotto_alliance.adversary_response import PROPORTIONAL_RTOL, Case, GameParams
 from blotto_alliance.transfer_engine import (
     _analyze_vec,
     _check_beta,
-    _domain_grid,
+    _crossing_equations,
     _induced_payoffs,
     _induced_payoffs_vec,
+    _quadratic_roots_vec,
+    _seed_polynomials,
     _tau_bounds,
     alliance_optimal,
     mb_exists,
@@ -50,7 +59,8 @@ class Axis:
 
     def values(self) -> list[float]:
         span = self.upper - self.lower
-        return [self.lower + span * i / (self.steps - 1) for i in range(self.steps)]
+        # i/(steps - 1) can round the last value past upper
+        return [min(self.lower + span * i / (self.steps - 1), self.upper) for i in range(self.steps)]
 
 
 @dataclass(frozen=True)
@@ -141,7 +151,9 @@ def payoff_curves(
         raise ValueError(f"tau range must lie within (-{g.x2}, {g.x1})")
     u1_base, u2_base = _induced_payoffs(g, 0.0, beta)
     eps_lo, eps_hi = _tau_bounds(g.x1, g.x2)
-    taus = np.minimum(np.maximum(lo + (hi - lo) * np.arange(steps) / (steps - 1), eps_lo), eps_hi)
+    # k/(steps - 1) can round the last row past hi
+    taus = np.minimum(lo + (hi - lo) * np.arange(steps) / (steps - 1), hi)
+    taus = np.minimum(np.maximum(taus, eps_lo), eps_hi)
     u1, u2 = _induced_payoffs_vec(g, taus, beta)
     columns = (taus, u1 - u1_base, u2 - u2_base, u1 + u2)
     return list(zip(*(c.tolist() for c in columns)))
@@ -164,6 +176,55 @@ class BetaSweepRow:
     alliance_nonzero: bool
 
 
+def _donation_candidates(phi_r, phi_d, u_r, u_d, x_r, x_d, betas, t_top):
+    """Candidate donations t in (0, t_top), one row per beta, each candidate a column.
+
+    The donor's unit-adversary budget is x_d - t and the recipient's
+    x_r + beta*t, with u_r and u_d their no-transfer payoffs. Along this path
+    each payoff is smooth between the case boundaries (the seed roots) and
+    the proportional band's edges, and may jump at them, so its maximum over
+    a stretch on which the other player keeps its no-transfer payoff lies at
+    a candidate: a boundary or band edge, read on both sides; a stationary
+    point of the player's own payoff; or a crossing of the other player's
+    no-transfer payoff. A root of a formula not in force is still a real
+    transfer and only adds a point. Candidates outside (0, t_top), and the
+    roots that do not exist, read 0.0.
+    """
+    linear, quadratics = _seed_polynomials(phi_r, phi_d, x_r, x_d, betas, np.float_power)
+    ratio = phi_d / phi_r
+    s_r = np.array([[1.0], [1.0 - PROPORTIONAL_RTOL]])
+    s_d = s_r[::-1]
+    band = (s_r * x_d - s_d * ratio * x_r) / (s_d * ratio * betas + s_r)  # s_d*phi_d*p_r = s_r*phi_r*p_d
+    # each player's budget p = p0 + p1*t against the other's q = q0 + q1*t
+    for phi, phi_o, u0, p0, p1, q0, q1 in (
+        (phi_r, phi_d, u_r, x_r, betas, x_d, -1.0),
+        (phi_d, phi_r, u_d, x_d, -1.0, x_r, betas),
+    ):
+        m = 4.0 * (phi / phi_o) * p1 * p1
+        a, k = p1 * q0 + p0 * q1, q1 * p0 - q0 * p1
+        quadratics += [
+            # case 3, (phi*p + sqrt(phi*phi_o*p*q))/2 and its strong form: m*p*q = (p1*q + p*q1)^2
+            (m * p1 * q1 - 4.0 * (p1 * q1) ** 2, (m - 4.0 * p1 * q1) * a, m * p0 * q0 - a * a),
+            # case 2 strong, phi - phi/(2p) + sqrt(phi*phi_o*q/p)/2: m*q = k^2*p
+            (0.0, m * q1 - k * k * p1, m * q0 - k * k * p0),
+            *(eq[1:] for eq in _crossing_equations(phi, phi_o, u0, p0, p1, q0, q1)),
+        ]
+    coefficients = np.empty((3, len(quadratics), betas.size))
+    for i, quadratic in enumerate(quadratics):
+        for j, value in enumerate(quadratic):
+            coefficients[j, i] = value
+    first, second = _quadratic_roots_vec(*coefficients)
+    # The seed roots come first. The payoffs jump at the proportional ray, and all but
+    # jump where case 1 meets case 3 on a tiny budget, so every edge is also read a step
+    # to either side: 1e-12 of the edge, to clear its rounding, plus the step that moves
+    # the budget ratio p_r/p_d by 1e-12, to clear the band's.
+    edges = np.vstack([linear, first[:4], second[:4], band])
+    p_r, p_d = x_r + betas * edges, x_d - edges
+    step = 1e-12 * (edges + p_r * p_d / (p_r + betas * p_d))
+    t = np.vstack([edges, edges - step, edges + step, first[4:], second[4:]]).T
+    return np.where((0.0 < t) & (t < t_top), t, 0.0)
+
+
 def beta_sweep(
     g: GameParams,
     beta_range: tuple[float, float],
@@ -171,10 +232,14 @@ def beta_sweep(
 ) -> list[BetaSweepRow]:
     """Attainable payoff maxima per efficiency value.
 
-    The mutual columns maximize one player's payoff over transfers that do
-    not push the other player below their no-transfer payoff, less a slack
-    of 1e-12*(phi1 + phi2) that scales with the valuations; the any
-    columns drop that constraint; max_u12 uses the exact alliance optimum.
+    max_u1_any and max_u2_any are each player's largest payoff over the
+    candidate transfers of _donation_candidates in both donation directions,
+    with zero and both domain edges; the candidates read each case boundary
+    and each edge of the proportional band on both sides, since a payoff can
+    jump at the proportional ray. max_u1_mutual and max_u2_mutual are the
+    largest over those candidates that do not push the other player below
+    their no-transfer payoff, less a slack of 1e-12*(phi1 + phi2) that
+    scales with the valuations. max_u12 uses the exact alliance optimum.
     Payoffs at the alliance-optimal transfer are tabulated separately since
     that transfer generally favors one player.
     """
@@ -188,36 +253,33 @@ def beta_sweep(
     betas = np.minimum(lo + (hi - lo) * np.arange(steps) / (steps - 1), hi)
     u1_nom, u2_nom = _induced_payoffs(g, 0.0, 1.0)
     u12_nom = u1_nom + u2_nom
-    slack = 1e-12 * (g.phi1 + g.phi2)
-
-    taus = np.append(_domain_grid(g.x1, g.x2), 0.0)
-    rows = []
+    points = []
     for beta in betas.tolist():
         # the point path's order, so a failing game raises its first error
         mb = mb_exists(g, beta)
         tau_dag, gain = alliance_optimal(g, beta)
-        u1_at, u2_at = _induced_payoffs(g, tau_dag, beta)
-        u1, u2 = _induced_payoffs_vec(g, taus, beta)
-        max_u1_mut = float(np.max(u1, where=u2 >= u2_nom - slack, initial=-math.inf))
-        max_u2_mut = float(np.max(u2, where=u1 >= u1_nom - slack, initial=-math.inf))
-        rows.append(
-            BetaSweepRow(
-                beta=beta,
-                u1_nominal=u1_nom,
-                u2_nominal=u2_nom,
-                u12_nominal=u12_nom,
-                max_u1_mutual=max_u1_mut,
-                max_u2_mutual=max_u2_mut,
-                max_u1_any=float(np.max(u1)),
-                max_u2_any=float(np.max(u2)),
-                max_u12=u12_nom + gain,
-                u1_at_alliance_opt=u1_at,
-                u2_at_alliance_opt=u2_at,
-                mb_exists=mb,
-                alliance_nonzero=tau_dag != 0.0,
-            )
-        )
-    return rows
+        points.append((mb, tau_dag, gain, *_induced_payoffs(g, tau_dag, beta)))
+
+    xa = g.adversary_budget
+    x1, x2 = g.x1 / xa, g.x2 / xa
+    tau_lo, tau_hi = _tau_bounds(g.x1, g.x2)
+    with np.errstate(all="ignore"):  # missing and overflowing roots read 0.0
+        by_2 = _donation_candidates(g.phi1, g.phi2, u1_nom, u2_nom, x1, x2, betas, -tau_lo / xa)
+        by_1 = _donation_candidates(g.phi2, g.phi1, u2_nom, u1_nom, x2, x1, betas, tau_hi / xa)
+    ends = np.broadcast_to([0.0, tau_lo, tau_hi], (steps, 3))
+    u1, u2 = _induced_payoffs_vec(g, np.hstack([ends, -xa * by_2, xa * by_1]), betas[:, None])
+    slack = 1e-12 * (g.phi1 + g.phi2)
+    # (max_u1_mutual, max_u2_mutual, max_u1_any, max_u2_any) per row
+    maxima = np.column_stack([
+        np.max(u1, axis=1, where=u2 >= u2_nom - slack, initial=-math.inf),
+        np.max(u2, axis=1, where=u1 >= u1_nom - slack, initial=-math.inf),
+        np.max(u1, axis=1),
+        np.max(u2, axis=1),
+    ])
+    return [
+        BetaSweepRow(beta, u1_nom, u2_nom, u12_nom, *row, u12_nom + gain, u1_at, u2_at, mb, tau_dag != 0.0)
+        for beta, (mb, tau_dag, gain, u1_at, u2_at), row in zip(betas.tolist(), points, maxima.tolist())
+    ]
 
 
 __all__ = [

@@ -79,8 +79,8 @@ from blotto_alliance.adversary_response import (
 # payoff evaluation: absolute for budgets below 1, relative above (see
 # _tau_bounds); the boundaries themselves are excluded.
 _EDGE = 1e-12
-# Points of the evenly spaced transfer grid across the whole domain that the
-# closed-form scans (mutual_margin, the beta sweep) evaluate.
+# Points of the evenly spaced transfer grid across the whole domain that
+# mutual_margin, its only user, evaluates.
 _DOMAIN_POINTS = 2001
 
 

@@ -31,7 +31,13 @@ SEED_OVERFLOW = "(1 - x1)**2 or (1 - x2)**2 overflows (x1=1e+200, x2=1.0 against
 # of region, 1 of region-wide and 81 of region-case-4-diagonal (each by at
 # most 2.3e-16), and in beta-sweep-case-3 u1_at_alliance_opt in 22 rows,
 # u2_at_alliance_opt in 26 and max_u12 in 15 (each by at most 3 ulp); no
-# case, in_frame, mb_exists or alliance_nonzero cell changed.
+# case, in_frame, mb_exists or alliance_nonzero cell changed. Reading the
+# beta sweep's four maxima at closed-form candidate transfers in place of a
+# 2,002-point grid raised them in all three beta-sweep commands, by at most
+# 4.6e-4 (max_u1_mutual), 5.4e-8 (max_u2_mutual), 3.8e-4 (max_u1_any) and
+# 5.4e-8 (max_u2_any); max_u1_mutual fell by 9.7e-14 in one row of
+# beta-sweep, where the grid's slack had admitted a point at which player 2
+# lost. No other column changed.
 GOLDEN_STDOUT = {
     "analyze-json": (
         ["analyze", *G1_FLAGS, "--beta", "0.8", "--json"],
@@ -64,18 +70,18 @@ GOLDEN_STDOUT = {
     ),
     "beta-sweep": (
         ["beta-sweep", *G1_FLAGS, "--beta-min", "0.05", "--beta-max", "1.0", "--steps", "50"],
-        "cd4ff19ecf75606b672f211912bdcf6c681de419625fcdef50d220c82ba97e99",
+        "a3fc5ed3e4e7938969070f634bbe03cff8f12142a1da988f6ef8a31cba4206c3",
     ),
     "beta-sweep-xa": (
         ["beta-sweep", *G1_XA_FLAGS, "--beta-min", "0.05", "--beta-max", "1.0", "--steps", "50"],
-        "a8be1177ce97ca510c898c811003cf77f3cd5d3222802974de58419a4b2fafa1",
+        "8ff40ac5ff636636378006c0cc08e4a55bae3b395ee8cf1e74d19720e7e5e7ee",
     ),
     "beta-sweep-case-3": (
         [
             "beta-sweep", "--phi1", "2", "--phi2", "0.5", "--x1", "0.05", "--x2", "0.5",
             "--beta-min", "0.05", "--beta-max", "1.0", "--steps", "200",
         ],
-        "1248ee41bd487cb286cc5a5dc643cc539954332eba81af5508adac392ca7ac44",
+        "8189c8743e171eddf8baefa0f8590c0f49f61b52da650cbb769e0c5e790f161c",
     ),
     "curve-case-4": (
         [
@@ -286,6 +292,16 @@ class TestCurve:
         assert code == 2
         assert "tau range" in err
 
+    def test_last_row_is_tau_max(self, capsys):
+        # -1.425 + 1.725*2/2 rounds to 0.30000000000000004
+        code, out, err = run_cli(
+            capsys, "curve", *G1_FLAGS, "--beta", "0.8",
+            "--tau-min", "-1.425", "--tau-max", "0.3", "--steps", "3",
+        )
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert len(rows) == 3 and float(rows[-1][0]) == 0.3
+
 
 class TestRegion:
     def test_schema_and_markers(self, capsys):
@@ -298,6 +314,18 @@ class TestRegion:
         header, rows = parse_csv(out)
         assert header == ["beta", "x1", "x2", "in_frame", "case", "mb_exists", "tau_dagger"]
         assert len(rows) == 2 * 7 * 7
+
+    def test_last_budgets_are_the_maxima(self, capsys):
+        # 0.075 + 0.925*82/82 rounds to 1.0000000000000002
+        code, out, err = run_cli(
+            capsys, "region", "--phi1", "1", "--phi2", "1.2", "--beta-list", "0.5",
+            "--x1-min", "0.075", "--x1-max", "1", "--x2-min", "0.075", "--x2-max", "1", "--resolution", "83",
+        )
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert len(rows) == 83 * 83
+        assert max(float(r[1]) for r in rows) == float(rows[-1][1]) == 1.0
+        assert max(float(r[2]) for r in rows) == float(rows[-1][2]) == 1.0
         out_of_frame = [r for r in rows if r[3] == "0"]
         assert out_of_frame
         for r in out_of_frame:

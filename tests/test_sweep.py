@@ -5,12 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blotto_alliance import transfer_engine as te
 from blotto_alliance.adversary_response import Case, GameParams, mirror
 from blotto_alliance.sweep import (
     Axis,
-    BetaSweepRow,
     SweepCell,
     SweepGrid,
     beta_sweep,
@@ -18,6 +18,11 @@ from blotto_alliance.sweep import (
     region_raster,
 )
 from support import CASE1_GAME, CASE3_GAME, CASE4_GAME, G1
+
+SWEEP_GAMES = [G1, mirror(G1), GameParams(1.0, 1.2, 1.5, 4.5, 3.0), CASE1_GAME, CASE3_GAME, CASE4_GAME]
+SWEEP_IDS = ["G1", "G1-mirrored", "G1-xa-3", "case-1", "case-3", "case-4"]
+# Hypothesis draws of one positive parameter, log-uniform over six decades.
+wide = st.floats(min_value=math.log(1e-3), max_value=math.log(1e3)).map(math.exp)
 
 FIG_RASTER = SweepGrid(
     axes=(Axis("x1", 0.1, 3.0, 30), Axis("x2", 0.1, 3.0, 30)),
@@ -44,27 +49,57 @@ def scalar_region_raster(grid):
 
 
 def scalar_beta_sweep(g, beta_range, steps):
-    """beta_sweep one row at a time, the alliance columns through the point path."""
+    """beta_sweep's columns other than the four maxima, one row at a time through the point path."""
     lo, hi = beta_range
     u1_nom, u2_nom = te._induced_payoffs(g, 0.0, 1.0)
-    slack = 1e-12 * (g.phi1 + g.phi2)
-    taus = np.append(te._domain_grid(g.x1, g.x2), 0.0)
     rows = []
     for i in range(steps):
         beta = min(lo + (hi - lo) * i / (steps - 1), hi)
-        u1, u2 = te._induced_payoffs_vec(g, taus, beta)
         tau_dag, gain = te.alliance_optimal(g, beta)
         u1_dag, u2_dag = te._induced_payoffs(g, tau_dag, beta)
         rows.append(
-            BetaSweepRow(
-                beta, u1_nom, u2_nom, u1_nom + u2_nom,
-                float(np.max(u1, where=u2 >= u2_nom - slack, initial=-math.inf)),
-                float(np.max(u2, where=u1 >= u1_nom - slack, initial=-math.inf)),
-                float(np.max(u1)), float(np.max(u2)), u1_nom + u2_nom + gain,
-                u1_dag, u2_dag, te.mb_exists(g, beta), tau_dag != 0.0,
-            )
+            (beta, u1_nom, u2_nom, u1_nom + u2_nom, u1_nom + u2_nom + gain,
+             u1_dag, u2_dag, te.mb_exists(g, beta), tau_dag != 0.0)
         )
     return rows
+
+
+MAXIMA = ("max_u1_mutual", "max_u2_mutual", "max_u1_any", "max_u2_any")
+
+
+def grid_maxima(g, beta, taus, relax=(0.0, 0.0)):
+    """The four maxima over a grid of transfers; the mutual ones where the other player loses at most relax."""
+    u1_nom, u2_nom = te._induced_payoffs(g, 0.0, 1.0)
+    u1, u2 = te._induced_payoffs_vec(g, taus, beta)
+    return np.array([
+        np.max(u1, where=u2 >= u2_nom - relax[1], initial=-math.inf),
+        np.max(u2, where=u1 >= u1_nom - relax[0], initial=-math.inf),
+        np.max(u1),
+        np.max(u2),
+    ])
+
+
+def assert_maxima_bracketed(g, beta_range, steps):
+    """Each maximum lies between two grid readings of the same quantity.
+
+    Below: the 2,002-point reference grid (the domain grid and 0), whose mutual
+    columns take the other player's constraint without slack, less
+    1e-12*(phi1 + phi2). Above: a 20,001-point grid plus its largest one-step
+    change of the player's payoff, the mutual constraint relaxed by the other
+    player's largest one-step change and the sweep's slack.
+    """
+    scale = g.phi1 + g.phi2
+    lo, hi = te._tau_bounds(g.x1, g.x2)
+    reference = np.append(te._domain_grid(g.x1, g.x2), 0.0)
+    fine = lo + (hi - lo) * np.arange(20001) / 20000
+    for row in beta_sweep(g, beta_range, steps):
+        got = np.array([getattr(row, name) for name in MAXIMA])
+        u1, u2 = te._induced_payoffs_vec(g, fine, row.beta)
+        step = np.array([np.max(np.abs(np.diff(u))) for u in (u1, u2)])
+        below = grid_maxima(g, row.beta, reference) - 1e-12 * scale
+        above = grid_maxima(g, row.beta, fine, 1e-12 * scale + step) + np.tile(step, 2)
+        assert np.all(below <= got), (g, row.beta, dict(zip(MAXIMA, got - below)))
+        assert np.all(got <= above), (g, row.beta, dict(zip(MAXIMA, got - above)))
 
 
 def reprs(records):
@@ -268,15 +303,51 @@ class TestBetaSweep:
         for a, b in zip(rows, rows[1:]):
             assert b.max_u12 >= a.max_u12 - 1e-9
 
-    @pytest.mark.parametrize(
-        "game",
-        [G1, mirror(G1), GameParams(1.0, 1.2, 1.5, 4.5, 3.0), CASE1_GAME, CASE3_GAME, CASE4_GAME],
-        ids=["G1", "G1-mirrored", "G1-xa-3", "case-1", "case-3", "case-4"],
-    )
+    @pytest.mark.parametrize("game", SWEEP_GAMES, ids=SWEEP_IDS)
     def test_rows_equal_the_point_path(self, game):
+        # every column but the four maxima, which the grid tests below bracket
         for beta_range, steps in [((0.05, 1.0), 20), ((0.01, 0.2), 37)]:
-            rows = beta_sweep(game, beta_range, steps)
-            assert reprs(rows) == reprs(scalar_beta_sweep(game, beta_range, steps))
+            rows = [dataclasses.astuple(r) for r in beta_sweep(game, beta_range, steps)]
+            point = [r[:4] + r[8:] for r in rows]
+            assert list(map(repr, point)) == list(map(repr, scalar_beta_sweep(game, beta_range, steps)))
+
+    @pytest.mark.parametrize("game", SWEEP_GAMES, ids=SWEEP_IDS)
+    def test_maxima_lie_between_grid_readings(self, game):
+        for beta_range, steps in [((0.05, 1.0), 20), ((0.01, 0.2), 37)]:
+            assert_maxima_bracketed(game, beta_range, steps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide, wide, wide, wide, wide)
+    def test_maxima_lie_between_grid_readings_over_a_wide_box(self, phi1, phi2, x1, x2, xa):
+        assert_maxima_bracketed(GameParams(phi1, phi2, x1, x2, xa), (0.05, 1.0), 4)
+
+    @pytest.mark.parametrize(
+        "game, beta_range, name, at_least",
+        [
+            # player 2's payoff jumps at the proportional ray: read only at the band's
+            # edges, max_u2_mutual was 1.637; a 100,001-point grid reads 2.10451
+            (
+                GameParams(1.9448803691156142, 4.142876112048367, 0.5488471256549139, 0.2924225035709374, 0.5232918073375491),
+                (0.4, 0.8), "max_u2_mutual", 2.1045,
+            ),
+            # player 2's payoff all but jumps where case 1 meets case 3 on its tiny budget:
+            # read only at the boundary, max_u1_mutual was 168.33488; a 1,000,001-point
+            # grid reads 168.33788
+            (
+                GameParams(973.6541973418985, 0.002969054901884881, 17.517181170557876, 262.39717393298355, 232.77987255539705),
+                (0.05, 0.24), "max_u1_mutual", 168.3378,
+            ),
+            # the game sits on the proportional ray at t = 0, where a step of 1e-12 of t
+            # stays inside the band: max_u1_any was 0.915
+            (GameParams(1.0, 1.0, 1.0, 1.0), (0.025, 0.05), "max_u1_any", 0.99999),
+        ],
+        ids=["proportional-ray", "case-1-edge", "proportional-at-zero"],
+    )
+    def test_maximum_read_on_both_sides_of_a_jump(self, game, beta_range, name, at_least):
+        row = beta_sweep(game, beta_range, 2)[-1]
+        assert row.beta == beta_range[1]
+        assert getattr(row, name) >= at_least
+        assert_maxima_bracketed(game, beta_range, 2)
 
     def test_failing_rows_raise_the_point_paths_error_for_the_first_failing_beta(self, monkeypatch):
         # a march that donates 1.4 loses for G1 outside G-dagger (see test_transfer_engine)
