@@ -32,6 +32,7 @@ from blotto_alliance.transfer_engine import (
     _analyze_vec,
     _check_beta,
     _crossing_equations,
+    _even_grid,
     _induced_payoffs,
     _induced_payoffs_vec,
     _quadratic_roots_vec,
@@ -56,11 +57,11 @@ class Axis:
             raise ValueError(f"axis {self.name}: lower must be < upper")
         if not (self.lower > 0):
             raise ValueError(f"axis {self.name}: lower must be positive for budget axes")
+        if not math.isfinite(self.upper):
+            raise ValueError(f"axis {self.name}: upper must be finite, got {self.upper}")
 
     def values(self) -> list[float]:
-        span = self.upper - self.lower
-        # i/(steps - 1) can round the last value past upper
-        return [min(self.lower + span * i / (self.steps - 1), self.upper) for i in range(self.steps)]
+        return _even_grid(self.lower, self.upper, self.steps).tolist()
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,8 @@ def region_raster(grid: SweepGrid) -> list[SweepCell]:
     """
     phi1 = float(grid.fixed["phi1"])
     phi2 = float(grid.fixed["phi2"])
-    if not (phi1 > 0 and phi2 > 0):
-        raise ValueError("phi1 and phi2 must be positive")
+    if not (0 < phi1 < math.inf and 0 < phi2 < math.inf):
+        raise ValueError(f"phi1 and phi2 must be positive and finite, got {phi1} and {phi2}")
     by_name = {a.name: a for a in grid.axes}
     x1_values = by_name["x1"].values()
     x2_values = by_name["x2"].values()
@@ -113,10 +114,6 @@ def region_raster(grid: SweepGrid) -> list[SweepCell]:
         in_frame = ~(phi2 * x1_grid > phi1 * x2_grid)
     # an in-frame cell is its own oriented unit-adversary game
     x1_in, x2_in = x1_grid[in_frame], x2_grid[in_frame]
-    if x1_in.size:
-        # the first cell with a non-finite budget, else any: GameParams names the bad field
-        k = int(np.argmin(np.isfinite(x1_in) & np.isfinite(x2_in)))
-        GameParams(phi1, phi2, x1_in[k].item(), x2_in[k].item())
     # beta rows first, so the first failing element is the raster's first failing cell
     case, _, exists, tau_dagger, _ = _analyze_vec(
         phi1, phi2, x1_in, x2_in, np.array(grid.beta_list)[:, None]
@@ -143,16 +140,13 @@ def payoff_curves(
     """Rows (tau, du1, du2, u12) at evenly spaced transfers over tau_range."""
     _check_beta(beta)
     lo, hi = tau_range
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    taus = _even_grid(lo, hi, steps)
     if not (lo < hi):
         raise ValueError("tau range must satisfy lo < hi")
     if lo < -g.x2 or hi > g.x1:
         raise ValueError(f"tau range must lie within (-{g.x2}, {g.x1})")
     u1_base, u2_base = _induced_payoffs(g, 0.0, beta)
     eps_lo, eps_hi = _tau_bounds(g.x1, g.x2)
-    # k/(steps - 1) can round the last row past hi
-    taus = np.minimum(lo + (hi - lo) * np.arange(steps) / (steps - 1), hi)
     taus = np.minimum(np.maximum(taus, eps_lo), eps_hi)
     u1, u2 = _induced_payoffs_vec(g, taus, beta)
     columns = (taus, u1 - u1_base, u2 - u2_base, u1 + u2)
@@ -246,11 +240,7 @@ def beta_sweep(
     lo, hi = beta_range
     if not (0.0 < lo < hi <= 1.0):
         raise ValueError(f"beta range must satisfy 0 < lo < hi <= 1, got ({lo}, {hi})")
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
-
-    # k/(steps - 1) can round the last row past hi
-    betas = np.minimum(lo + (hi - lo) * np.arange(steps) / (steps - 1), hi)
+    betas = _even_grid(lo, hi, steps)
     u1_nom, u2_nom = _induced_payoffs(g, 0.0, 1.0)
     u12_nom = u1_nom + u2_nom
     points = []

@@ -48,11 +48,13 @@ as one array pass, _analyze_vec, over broadcast arrays of oriented
 unit-adversary games; only the region raster calls it. Each closed-form
 rule is written once and both paths call it: the mutual-benefit rule, the
 transfer-domain edge, the seed polynomials, the stationary ratios and the
-alliance gain. The array pass takes the scalar steps in the same order, so
-every element equals the scalar result bit for bit, the sign of zero
-included. It only flags the games the point path rejects, then reruns the
-point path to raise that path's own error, so only the scalar path words a
-threshold-range, seed-overflow or losing-transfer error.
+alliance gain. So is the evenly spaced grid, _even_grid, which every sweep
+product and mutual_margin take their grids from. The array pass takes the
+scalar steps in the same order, so every element equals the scalar result
+bit for bit, the sign of zero included. It only flags the games the point
+path rejects, then reruns the point path to raise that path's own error,
+so only the scalar path words a threshold-range, seed-overflow or
+losing-transfer error.
 """
 
 import math
@@ -79,8 +81,8 @@ from blotto_alliance.adversary_response import (
 # payoff evaluation: absolute for budgets below 1, relative above (see
 # _tau_bounds); the boundaries themselves are excluded.
 _EDGE = 1e-12
-# Points of the evenly spaced transfer grid across the whole domain that
-# mutual_margin, its only user, evaluates.
+# mutual_margin evaluates this many evenly spaced transfers, from one end
+# of _tau_bounds to the other.
 _DOMAIN_POINTS = 2001
 
 
@@ -150,10 +152,14 @@ def _tau_bounds(x1: float, x2: float, maximum=max) -> tuple[float, float]:
     return -x2 + maximum(_EDGE, _EDGE * x2), x1 - maximum(_EDGE, _EDGE * x1)
 
 
-def _domain_grid(x1: float, x2: float) -> np.ndarray:
-    """_DOMAIN_POINTS evenly spaced transfers from one end of _tau_bounds to the other."""
-    lo, hi = _tau_bounds(x1, x2)
-    return lo + (hi - lo) * np.arange(_DOMAIN_POINTS) / (_DOMAIN_POINTS - 1)
+def _even_grid(lo: float, hi: float, steps: int) -> np.ndarray:
+    """steps evenly spaced values from lo to hi, both included."""
+    if steps < 2:
+        raise ValueError(f"steps must be >= 2, got {steps}")
+    # k/(steps - 1) can round the last value past hi; an overflow or a non-finite
+    # bound gives inf or nan silently, as on Python floats, for the caller to reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.minimum(lo + (hi - lo) * np.arange(steps) / (steps - 1), hi)
 
 
 def _induced_payoffs(g: GameParams, tau: float, beta: float) -> tuple[float, float]:
@@ -651,7 +657,7 @@ def mutual_margin(g: GameParams, beta: float) -> float:
     _check_beta(beta)
     gn, _ = normalize(g)
     u1_base, u2_base = _induced_payoffs(gn, 0.0, beta)
-    u1, u2 = _induced_payoffs_vec(gn, _domain_grid(gn.x1, gn.x2), beta)
+    u1, u2 = _induced_payoffs_vec(gn, _even_grid(*_tau_bounds(gn.x1, gn.x2), _DOMAIN_POINTS), beta)
     return float(np.max(np.minimum(u1 - u1_base, u2 - u2_base)))
 
 

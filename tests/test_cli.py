@@ -726,6 +726,13 @@ def with_flag(argv, flag, value):
     [
         (with_flag(REGION_FLAGS, "--x1-min", "0"), None, "axis x1: lower must be positive for budget axes"),
         (with_flag(REGION_FLAGS, "--phi1", "-1"), None, "phi1 and phi2 must be positive"),
+        (
+            ["region", "--phi1", "1", "--phi2", "inf", "--beta-list", "0.5", "--x1-min", "0.5", "--x1-max", "1",
+             "--x2-min", "0.5", "--x2-max", "1", "--resolution", "2"],
+            None,
+            "phi1 and phi2 must be positive and finite, got 1.0 and inf",
+        ),
+        (with_flag(REGION_FLAGS, "--x1-max", "inf"), None, "axis x1: upper must be finite, got inf"),
         (with_flag(CURVE_FLAGS, "--steps", "1"), None, "steps must be >= 2, got 1"),
         (
             ["beta-sweep", *G1_FLAGS, "--beta-min", "0.1", "--beta-max", "1", "--steps", "1"],
@@ -740,7 +747,8 @@ def with_flag(argv, flag, value):
         (["analyze", "--config", "{cfg}"], None, "cannot read config file {cfg}: "),
     ],
     ids=[
-        "region-x1-min", "region-phi1", "curve-steps", "beta-sweep-steps", "curve-tau-range",
+        "region-x1-min", "region-phi1", "region-phi2-inf", "region-x1-max-inf", "curve-steps", "beta-sweep-steps",
+        "curve-tau-range",
         "verify-trials", "verify-beta-list", "verify-empty-beta-list", "config-line", "config-missing",
     ],
 )

@@ -90,7 +90,7 @@ def assert_maxima_bracketed(g, beta_range, steps):
     """
     scale = g.phi1 + g.phi2
     lo, hi = te._tau_bounds(g.x1, g.x2)
-    reference = np.append(te._domain_grid(g.x1, g.x2), 0.0)
+    reference = np.append(te._even_grid(lo, hi, te._DOMAIN_POINTS), 0.0)
     fine = lo + (hi - lo) * np.arange(20001) / 20000
     for row in beta_sweep(g, beta_range, steps):
         got = np.array([getattr(row, name) for name in MAXIMA])
@@ -216,6 +216,16 @@ class TestRegionRaster:
             Axis("x1", 0.1, 1.0, 1)
         with pytest.raises(ValueError, match="lower"):
             Axis("x1", 2.0, 1.0, 5)
+        with pytest.raises(ValueError, match="axis x1: upper must be finite, got inf"):
+            Axis("x1", 0.1, math.inf, 3)
+        with pytest.raises(ValueError, match="phi1 and phi2 must be positive"):
+            region_raster(
+                SweepGrid(
+                    axes=(Axis("x1", 0.5, 1.0, 2), Axis("x2", 0.5, 1.0, 2)),
+                    fixed={"phi1": 1.0, "phi2": math.inf},
+                    beta_list=(0.5,),
+                )
+            )
         with pytest.raises(ValueError, match="beta"):
             SweepGrid(axes=(Axis("x1", 0.1, 1.0, 3),), fixed={}, beta_list=(1.5,))
         with pytest.raises(ValueError, match="beta_list must be nonempty"):
@@ -353,7 +363,6 @@ class TestBetaSweep:
         # a march that donates 1.4 loses for G1 outside G-dagger (see test_transfer_engine)
         march = te._march_alliance
         monkeypatch.setattr(te, "_march_alliance", lambda *args: (march(*args), 1.4)[1])
-        monkeypatch.setattr(te, "_march_alliance_vec", lambda phi1, phi2, x1, x2, beta: np.full_like(x1, 1.4))
         with pytest.raises(te.InternalInconsistencyError) as swept:
             beta_sweep(G1, (0.05, 1.0), 20)
         betas = (0.05 + 0.95 * np.arange(20) / 19).tolist()
