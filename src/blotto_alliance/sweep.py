@@ -7,6 +7,8 @@ a sweep over the efficiency beta tabulating attainable payoff maxima.
 
 Rasters depict only the oriented half plane phi2/phi1 <= x2/x1; cells on
 the other side are marked out of frame and carry no analysis fields.
+A raster cell is a named tuple, so it is immutable and reads by field
+name, but it also compares equal to a plain tuple of the same values.
 
 The raster sends every in-frame cell at every beta through one call of
 transfer_engine._analyze_vec, which equals the scalar point path bit for
@@ -24,6 +26,7 @@ one array call.
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +86,7 @@ class SweepGrid:
             raise ValueError(f"region raster fixes exactly phi1 and phi2, got {sorted(self.fixed)}")
 
 
-@dataclass(frozen=True)
-class SweepCell:
+class SweepCell(NamedTuple):
     beta: float
     x1: float
     x2: float
@@ -92,6 +94,10 @@ class SweepCell:
     case_label: Case | None = None
     mb_exists: bool | None = None
     tau_dagger: float | None = None
+
+
+# Case members by value, so a raster maps its case codes without a Case() call each
+_CASE_OF = (None, *Case)
 
 
 def region_raster(grid: SweepGrid) -> list[SweepCell]:
@@ -120,17 +126,16 @@ def region_raster(grid: SweepGrid) -> list[SweepCell]:
     )
 
     # the case does not depend on beta
-    labels = [Case(c) for c in case[0].tolist()]
-    frame = in_frame.ravel().tolist()
+    labels = [_CASE_OF[c] for c in case[0].tolist()]
+    points = list(zip(itertools.product(x2_values, x1_values), in_frame.ravel().tolist()))
     cells = []
     for beta, exists_row, tau_row in zip(grid.beta_list, exists.tolist(), tau_dagger.tolist()):
+        # (case_label, mb_exists, tau_dagger) of each in-frame cell, in raster order
         fields = zip(labels, exists_row, tau_row)
-        for (x2, x1), inside in zip(itertools.product(x2_values, x1_values), frame):
-            if not inside:
-                cells.append(SweepCell(beta=beta, x1=x1, x2=x2, in_frame=False))
-                continue
-            # (case_label, mb_exists, tau_dagger)
-            cells.append(SweepCell(beta, x1, x2, True, *next(fields)))
+        cells += [
+            SweepCell(beta, x1, x2, True, *next(fields)) if inside else SweepCell(beta, x1, x2, False)
+            for (x2, x1), inside in points
+        ]
     return cells
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from blotto_alliance import transfer_engine as te
 from blotto_alliance.adversary_response import Case, GameParams, mirror
+from blotto_alliance.cli import main
 from blotto_alliance.sweep import (
     Axis,
     SweepCell,
@@ -23,6 +24,8 @@ SWEEP_GAMES = [G1, mirror(G1), GameParams(1.0, 1.2, 1.5, 4.5, 3.0), CASE1_GAME, 
 SWEEP_IDS = ["G1", "G1-mirrored", "G1-xa-3", "case-1", "case-3", "case-4"]
 # Hypothesis draws of one positive parameter, log-uniform over six decades.
 wide = st.floats(min_value=math.log(1e-3), max_value=math.log(1e3)).map(math.exp)
+# Hypothesis draws of a valuation or valuation ratio, log-uniform in [0.05, 20].
+ratio = st.floats(min_value=math.log(0.05), max_value=math.log(20.0)).map(math.exp)
 
 FIG_RASTER = SweepGrid(
     axes=(Axis("x1", 0.1, 3.0, 30), Axis("x2", 0.1, 3.0, 30)),
@@ -103,7 +106,7 @@ def assert_maxima_bracketed(g, beta_range, steps):
 
 
 def reprs(records):
-    """Dataclass reprs, which tell -0.0 from 0.0 where == does not."""
+    """Record reprs, which name the type and tell -0.0 from 0.0 where == does not."""
     return [repr(r) for r in records]
 
 
@@ -174,6 +177,46 @@ class TestRegionRaster:
     )
     def test_equals_the_point_path(self, grid):
         assert reprs(region_raster(grid)) == reprs(scalar_region_raster(grid))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ratio,
+        ratio,
+        st.integers(2, 12),
+        st.integers(2, 12),
+        st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3),
+        st.booleans(),
+    )
+    def test_equals_the_point_path_on_non_square_grids(self, phi1, phi2_over_phi1, x1_steps, x2_steps, betas, x2_first):
+        # x2 spans [0.5, 2] and x1 spans [r/4, 4r] with r = phi1/phi2, so the frame's
+        # edge x1 = r*x2 cuts every row: each starts in frame and ends out of it
+        phi2 = phi1 * phi2_over_phi1
+        r = phi1 / phi2
+        axes = (Axis("x1", r / 4, 4 * r, x1_steps), Axis("x2", 0.5, 2.0, x2_steps))
+        grid = SweepGrid(axes[::-1] if x2_first else axes, {"phi1": phi1, "phi2": phi2}, tuple(betas))
+        cells = region_raster(grid)
+        assert len(cells) == len(betas) * x2_steps * x1_steps
+        rows = [cells[i:i + x1_steps] for i in range(0, len(cells), x1_steps)]
+        assert all(row[0].in_frame and not row[-1].in_frame for row in rows)
+        assert reprs(cells) == reprs(scalar_region_raster(grid))
+
+    def test_cell_contract(self, capsys):
+        cells = region_raster(FIG_RASTER)
+        inside = next(c for c in cells if c.in_frame)
+        outside = next(c for c in cells if not c.in_frame)
+        with pytest.raises(AttributeError):
+            inside.tau_dagger = 0.0
+        assert all(c.case_label is Case(int(c.case_label)) for c in cells if c.in_frame)
+        assert outside[-3:] == (None, None, None)
+        # a cell is a tuple: equal to the plain tuple of its values
+        assert inside == tuple(inside) and outside == (outside.beta, outside.x1, outside.x2, False, None, None, None)
+        # the fields in the region CSV's column order, case_label under the column "case"
+        assert main([
+            "region", "--phi1", "1.2", "--phi2", "1", "--beta-list", "0.5",
+            "--x1-min", "0.5", "--x1-max", "1", "--x2-min", "0.5", "--x2-max", "1", "--resolution", "2",
+        ]) == 0
+        header = capsys.readouterr().out.splitlines()[0].split(",")
+        assert header == [name.replace("case_label", "case") for name in SweepCell._fields]
 
     def test_all_cells_out_of_frame(self):
         grid = SweepGrid(
