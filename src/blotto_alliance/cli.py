@@ -138,8 +138,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     add_common(p)
     add_game(p)
     p.add_argument("--beta", type=float)
-    p.add_argument("--tau-min", type=float)
-    p.add_argument("--tau-max", type=float)
+    # argparse takes a separate "-1e-06" for an option, so that form of value is attached with "="
+    p.add_argument("--tau-min", type=float, help="first transfer; attach a value like -1e-06 as --tau-min=-1e-06")
+    p.add_argument("--tau-max", type=float, help="last transfer; attach a value like -1e-06 as --tau-max=-1e-06")
     p.add_argument("--steps", type=int)
     p.set_defaults(handler=cmd_curve)
 
@@ -308,7 +309,8 @@ def cmd_curve(args) -> int:
     beta = _require(args, "beta")
     tau_range = (_require(args, "tau_min"), _require(args, "tau_max"))
     rows = sweep.payoff_curves(game, beta, tau_range, _require(args, "steps"))
-    _write_csv(["tau", "du1", "du2", "u12"], rows, sys.stdout)
+    # Python floats, so the CSV holds each value's repr
+    _write_csv(["tau", "du1", "du2", "u12"], rows.tolist(), sys.stdout)
     return 0
 
 

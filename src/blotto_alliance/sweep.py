@@ -2,8 +2,9 @@
 
 Three products: a raster over the (x1, x2) budget plane showing where
 mutually beneficial transfers exist and where the alliance-optimal transfer
-is nonzero; payoff-change curves along the transfer axis for one game; and
-a sweep over the efficiency beta tabulating attainable payoff maxima.
+is nonzero; payoff-change curves along the transfer axis for one game,
+returned as one float array with a row per transfer; and a sweep over the
+efficiency beta tabulating attainable payoff maxima.
 
 Rasters depict only the oriented half plane phi2/phi1 <= x2/x1; cells on
 the other side are marked out of frame and carry no analysis fields.
@@ -141,8 +142,12 @@ def region_raster(grid: SweepGrid) -> list[SweepCell]:
 
 def payoff_curves(
     g: GameParams, beta: float, tau_range: tuple[float, float], steps: int
-) -> list[tuple[float, float, float, float]]:
-    """Rows (tau, du1, du2, u12) at evenly spaced transfers over tau_range."""
+) -> np.ndarray:
+    """Rows (tau, du1, du2, u12) at evenly spaced transfers over tau_range.
+
+    One float64 array of shape (steps, 4), a row per transfer; its rows
+    iterate, index and unpack as tuples do, and .tolist() gives Python floats.
+    """
     _check_beta(beta)
     lo, hi = tau_range
     taus = _even_grid(lo, hi, steps)
@@ -154,8 +159,7 @@ def payoff_curves(
     eps_lo, eps_hi = _tau_bounds(g.x1, g.x2)
     taus = np.minimum(np.maximum(taus, eps_lo), eps_hi)
     u1, u2 = _induced_payoffs_vec(g, taus, beta)
-    columns = (taus, u1 - u1_base, u2 - u2_base, u1 + u2)
-    return list(zip(*(c.tolist() for c in columns)))
+    return np.column_stack((taus, u1 - u1_base, u2 - u2_base, u1 + u2))
 
 
 @dataclass(frozen=True)

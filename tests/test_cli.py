@@ -14,6 +14,8 @@ G1_FLAGS = ["--phi1", "1", "--phi2", "1.2", "--x1", "0.5", "--x2", "1.5"]
 G1_XA_FLAGS = ["--phi1", "1", "--phi2", "1.2", "--x1", "1.5", "--x2", "4.5", "--xa", "3"]
 # G1 with the players exchanged, so analysis runs in the swapped frame
 G1_SWAPPED_FLAGS = ["--phi1", "1.2", "--phi2", "1", "--x1", "1.5", "--x2", "0.5"]
+# G1 with the valuations exchanged: the reference game of the benchmark's figures workload
+FIGURES_FLAGS = ["--phi1", "1.2", "--phi2", "1", "--x1", "0.5", "--x2", "1.5"]
 # the error of an alliance march whose seed polynomials leave the float range
 SEED_OVERFLOW = "(1 - x1)**2 or (1 - x2)**2 overflows (x1=1e+200, x2=1.0 against a unit adversary)"
 
@@ -89,6 +91,15 @@ GOLDEN_STDOUT = {
             "--tau-min", "-1", "--tau-max", "0.5", "--steps", "401",
         ],
         "a5d356a4c2e9e471517d9139c2c1ff546f15a54f35368875dd4d4343e83f4d61",
+    ),
+    # the benchmark's curve size, on its reference pair (1.2, 1), at both of its betas
+    "curve-2001-beta-0.5": (
+        ["curve", *FIGURES_FLAGS, "--beta", "0.5", "--tau-min", "-1.5", "--tau-max", "0.5", "--steps", "2001"],
+        "961e6487454152fd631d8c791b884c12771e3ace0bc39bd39309949a26f2b672",
+    ),
+    "curve-2001-beta-1": (
+        ["curve", *FIGURES_FLAGS, "--beta", "1", "--tau-min", "-1.5", "--tau-max", "0.5", "--steps", "2001"],
+        "cc6f490682d0c7f86dcfd56c3fa74f586d77e49e1f773f0355ec48d12fc7d8f8",
     ),
     # phi1 < phi2 on a box taller than wide: 3,837 of 4,800 cells in frame
     "region-phi1-below-phi2": (
@@ -283,6 +294,29 @@ class TestCurve:
         assert code == 0
         _, rows = parse_csv(out)
         assert not [r for r in rows if float(r[1]) > 0 and float(r[2]) > 0]
+
+    def test_fields_are_float_reprs(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "curve", *G1_FLAGS, "--beta", "0.8",
+            "--tau-min", "-1.5", "--tau-max", "0.5", "--steps", "101",
+        )
+        assert code == 0
+        assert "np.float64(" not in out
+        _, rows = parse_csv(out)
+        assert len(rows) == 101
+        for row in rows:
+            assert len(row) == 4
+            assert all(field == repr(float(field)) for field in row)
+
+    def test_negative_tau_min_in_exponent_notation(self, capsys):
+        # "--tau-min -1e-06" reads -1e-06 as an option, so the value is attached with "="
+        code, out, _ = run_cli(
+            capsys, "curve", *G1_FLAGS, "--beta", "1",
+            "--tau-min=-1e-06", "--tau-max", "0.5", "--steps", "3",
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row[0] for row in rows] == ["-1e-06", "0.2499995", "0.499999999999"]
 
     def test_range_outside_domain_exits_2(self, capsys):
         code, _, err = run_cli(

@@ -18,7 +18,7 @@ from blotto_alliance.adversary_response import (
     normalize,
 )
 from blotto_alliance.cli import DEFAULT_VERIFY_BETAS, FIXED_SEED_GAMES
-from blotto_alliance.sweep import Axis, SweepGrid, beta_sweep, region_raster
+from blotto_alliance.sweep import Axis, SweepGrid, beta_sweep, payoff_curves, region_raster
 from blotto_alliance.transfer_engine import (
     Transfer,
     alliance_beta_threshold,
@@ -563,6 +563,21 @@ def scalar_mb_scan(phi1, phi2, x1, x2, beta):
     return taus, gains
 
 
+def assert_curve_matches_scalar(g, beta, steps):
+    """payoff_curves over the whole domain against _induced_payoffs, one transfer at a time."""
+    lo, hi = -g.x2, g.x1
+    edge_lo, edge_hi = te._tau_bounds(g.x1, g.x2)
+    u1_base, u2_base = te._induced_payoffs(g, 0.0, beta)
+    expected = []
+    for k in range(steps):
+        tau = min(max(min(lo + (hi - lo) * k / (steps - 1), hi), edge_lo), edge_hi)
+        u1, u2 = te._induced_payoffs(g, tau, beta)
+        expected.append((tau, u1 - u1_base, u2 - u2_base, u1 + u2))
+    rows = payoff_curves(g, beta, (lo, hi), steps)
+    assert rows.dtype == np.float64 and rows.shape == (steps, 4)
+    assert_bits_equal(rows, np.array(expected))
+
+
 class TestScansMatchScalar:
     """The array scans equal their scalar statement bit for bit."""
 
@@ -571,6 +586,20 @@ class TestScansMatchScalar:
         g = FIXED_SEED_GAMES[label]
         for beta in DEFAULT_VERIFY_BETAS:
             np.testing.assert_array_equal(te.mutual_margin(g, beta), scalar_margin(g, beta))
+
+    @pytest.mark.parametrize("label", sorted(FIXED_SEED_GAMES))
+    def test_payoff_curves(self, label):
+        g = FIXED_SEED_GAMES[label]
+        for beta in DEFAULT_VERIFY_BETAS:
+            assert_curve_matches_scalar(g, beta, 2001)
+
+    @settings(max_examples=120, deadline=None)
+    @given(log_uniform, log_uniform, log_uniform, log_uniform, log_uniform.filter(lambda xa: xa != 1.0))
+    def test_payoff_curves_over_twelve_decades(self, phi1, phi2, x1, x2, xa):
+        g = GameParams(phi1, phi2, x1, x2, xa)
+        for game in (g, mirror(g)):  # both orientations
+            for beta in DEFAULT_VERIFY_BETAS:
+                assert_curve_matches_scalar(game, beta, 201)
 
 
 class TestMarchExtremes:
