@@ -24,17 +24,25 @@ def payoff(player_budget: float, adversary_budget: float, total_value: float) ->
     return total_value * (1.0 - adversary_budget / (2.0 * player_budget))
 
 
-def payoff_vec(player_budget, adversary_budget, total_value: float | np.ndarray) -> np.ndarray:
-    """Vectorized player payoff; total_value broadcasts like the budgets.
+def payoff_vec(player_budget, adversary_budget, total_value: float | np.ndarray, out=None) -> np.ndarray:
+    """Vectorized player payoff; total_value broadcasts to the budgets' shape.
 
-    Each element equals payoff() of the same arguments bit for bit.
+    Each element equals payoff() of the same arguments bit for bit. The
+    result is written into out when one is given, an array of the budgets'
+    broadcast shape, and out itself is returned; a 0-d result is a 0-d array.
     """
     x = np.asarray(player_budget, dtype=float)
     xa = np.asarray(adversary_budget, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero budget's branch is never selected
-        # asarray: on 0-d inputs the arithmetic returns a scalar, which copyto cannot write into
-        out = np.asarray(total_value * (1.0 - xa / (2.0 * x)))
-        np.copyto(out, total_value * x / (2.0 * xa), where=x <= xa)
+    # the branch not selected may divide by a zero budget or overflow; the scalar path is silent too
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the strong branch, total_value*(1 - xa/(2x)), in out; then the weak one, total_value*x/(2xa).
+        # asarray: on 0-d inputs and no out, the division returns a scalar, which cannot be written into
+        out = np.asarray(np.divide(xa, 2.0 * x, out=out))
+        np.subtract(1.0, out, out=out)
+        np.multiply(total_value, out, out=out)
+        weak = np.multiply(2.0, xa, out=np.empty_like(out))
+        np.divide(total_value * x, weak, out=weak)
+    np.copyto(out, weak, where=x <= xa)
     np.copyto(out, total_value, where=xa == 0.0)
     return out
 

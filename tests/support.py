@@ -1,5 +1,6 @@
-"""Shared fixtures for the test suite: reference games and samplers."""
+"""Shared fixtures for the test suite: reference games, samplers and a 60-digit payoff reference."""
 
+import decimal
 import math
 
 import numpy as np
@@ -49,3 +50,60 @@ def random_game_of_case(rng: np.random.Generator, case: int) -> GameParams:
         g = random_oriented_game(rng)
         if _response_f(g.phi1, g.phi2, g.x1, g.x2)[0] == case:
             return g
+
+
+# The 60-digit reference. Lotto payoffs are evaluated in decimal arithmetic on
+# the exact values of their float arguments. The adversary's best split
+# minimizes G(a) = L1(x1, a) + L2(x2, 1 - a) over a in [0, 1]. G is convex and
+# smooth between the kinks a = x1 and a = 1 - x2, so its least value lies at
+# an end, at a kink, or where the single-front slopes cancel within one
+# regime, which they do in closed form (see oracle._split_guess). The
+# reference takes the least G over those candidates, and never calls the
+# closed-form case table.
+DECIMAL_CONTEXT = decimal.Context(prec=60)
+
+
+def _decimal_lotto(x, a, phi):
+    if a == 0:
+        return phi
+    if x <= a:
+        return phi * x / (2 * a)
+    return phi * (1 - a / (2 * x))
+
+
+def decimal_payoffs(phi1, phi2, x1, x2):
+    """Player payoffs (u1, u2) of a unit-adversary game, in either orientation, as 60-digit Decimals.
+
+    Float arguments are taken at their exact values; Decimal arguments as given.
+    A split at which G ties the least value exactly, where G is flat because
+    phi1*x2 == phi2*x1, goes to the proportional split x1/(x1 + x2).
+    """
+    with decimal.localcontext(DECIMAL_CONTEXT):
+        phi1, phi2, x1, x2 = (decimal.Decimal(v) for v in (phi1, phi2, x1, x2))
+        c, q = (phi2 / phi1).sqrt(), (x1 * x2).sqrt()
+        candidates = [
+            x1 / (x1 + x2),
+            decimal.Decimal(0),
+            decimal.Decimal(1),
+            x1,
+            1 - x2,
+            1 / (1 + c * (x2 / x1).sqrt()),  # both players weak
+            1 - c * q,  # player 1 strong
+            q / c,  # player 2 strong
+        ]
+        splits = [min(max(a, decimal.Decimal(0)), decimal.Decimal(1)) for a in candidates]
+        a = min(splits, key=lambda a: _decimal_lotto(x1, a, phi1) + _decimal_lotto(x2, 1 - a, phi2))
+        return _decimal_lotto(x1, a, phi1), _decimal_lotto(x2, 1 - a, phi2)
+
+
+def decimal_gains(phi1, phi2, x1, x2, tau, beta):
+    """(du1, du2) of the transfer tau at efficiency beta in a unit-adversary game, as 60-digit Decimals.
+
+    The induced budgets are exact: the receiver gains beta*|tau|, the donor loses |tau|.
+    """
+    with decimal.localcontext(DECIMAL_CONTEXT):
+        x1d, x2d, t, b = (decimal.Decimal(v) for v in (x1, x2, tau, beta))
+        y1, y2 = (x1d - t, x2d + b * t) if tau > 0.0 else (x1d - b * t, x2d + t)
+        u1, u2 = decimal_payoffs(phi1, phi2, y1, y2)
+        v1, v2 = decimal_payoffs(phi1, phi2, x1, x2)
+        return u1 - v1, u2 - v2

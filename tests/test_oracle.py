@@ -404,7 +404,9 @@ SCAN_FIELD_DIGESTS = {
 class TestScanCost:
     """Pins of the scan's bits, its kernel calls and its memory, so that a faster scan must show the same bytes."""
 
-    def test_every_numeric_report_field_keeps_its_bits(self):
+    @staticmethod
+    def changed_report_fields():
+        """The numeric report fields whose bits over the fixed games at the verify betas differ from their pins."""
         reports = [
             transfer_grid_scan(g, beta, OracleConfig())
             for _, g in sorted(FIXED_SEED_GAMES.items())
@@ -415,7 +417,42 @@ class TestScanCost:
             name: hashlib.sha256(np.array([getattr(r, name) for r in reports], dtype="<f8").tobytes()).hexdigest()
             for name in names
         }
-        assert [name for name in names if got[name] != SCAN_FIELD_DIGESTS[name]] == []
+        return [name for name in names if got[name] != SCAN_FIELD_DIGESTS[name]]
+
+    def test_every_numeric_report_field_keeps_its_bits(self):
+        assert self.changed_report_fields() == []
+
+    def test_every_workspace_element_is_written_before_it_is_read(self, monkeypatch):
+        # a NaN left in the workspace would reach a payoff, a slack or the certificate, and move a digest
+        def poisoned(allocate):
+            def allocate_nan(*args, **kwargs):
+                out = allocate(*args, **kwargs)
+                if out.dtype.kind == "f":
+                    out.fill(np.nan)
+                return out
+
+            return allocate_nan
+
+        monkeypatch.setattr(np, "empty", poisoned(np.empty))
+        monkeypatch.setattr(np, "empty_like", poisoned(np.empty_like))
+        splits, bisected = [], []
+        bisect_rows, bisect_row = oracle_module._bisect_rows, oracle_module._bisect_row
+
+        def recorded_rows(*args):
+            result = bisect_rows(*args)
+            splits.append(result[0])
+            return result
+
+        def recorded_row(*args):
+            bisected.append(args)
+            return bisect_row(*args)
+
+        monkeypatch.setattr(oracle_module, "_bisect_rows", recorded_rows)
+        monkeypatch.setattr(oracle_module, "_bisect_row", recorded_row)
+        assert self.changed_report_fields() == []
+        # the poison reached the rejected-row path and both clamped splits, j == 0 and j == n
+        a_star = np.concatenate(splits)
+        assert bisected and (a_star == 0.0).any() and (a_star == 1.0).any()
 
     def test_a_scan_without_rejected_rows_calls_the_kernel_twice(self, monkeypatch):
         # one call per front, each on the certificate's three splits
@@ -424,9 +461,9 @@ class TestScanCost:
         def counted(module, name):
             original = getattr(module, name)
 
-            def call(*args):
+            def call(*args, **kwargs):
                 calls.append(name)
-                return original(*args)
+                return original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, call)
 

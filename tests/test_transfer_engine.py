@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from blotto_alliance import transfer_engine as te
@@ -33,7 +33,16 @@ from blotto_alliance.transfer_engine import (
     mb_interval,
     payoffs_at,
 )
-from support import CASE1_GAME, CASE3_GAME, CASE4_GAME, G1, log_uniform, oriented_params, random_oriented_game
+from support import (
+    CASE1_GAME,
+    CASE3_GAME,
+    CASE4_GAME,
+    G1,
+    decimal_gains,
+    log_uniform,
+    oriented_params,
+    random_oriented_game,
+)
 
 # exact optima for G1 derived from the case-4 crossing of the donation path:
 # the proportional point (x2 - r*x1) / (1 + r*beta) with r = phi2/phi1
@@ -257,9 +266,14 @@ class TestMutualBenefitInterval:
 
     @settings(max_examples=100, deadline=None)
     @given(log_uniform, log_uniform, log_uniform, log_uniform, log_uniform)
+    # player 2's float gain reads +1 ulp at tau = -7.45e-9 and -3.73e-9, outside the
+    # interval (-9.3e-10, 0); its 60-digit values there are -1.2e-17 and -2.6e-18
+    @example(phi1=1.0, phi2=1.0, x1=1.0, x2=1.0000610370189331, xa=1.0000610370189331)
     def test_agrees_with_a_dense_scan(self, phi1, phi2, x1, x2, xa):
         gn, _ = normalize(GameParams(phi1, phi2, x1, x2, xa))
         tol = 1e-9 * (gn.x1 + gn.x2)
+        # a float gain this close to 0 may have either sign; the 60-digit reference settles it
+        rounding = 4.0 * math.ulp(max(gn.phi1, gn.phi2))
         for beta in DEFAULT_VERIFY_BETAS:
             report = analyze(gn, beta)
             if report.mb_interval is None:
@@ -268,6 +282,8 @@ class TestMutualBenefitInterval:
             lo, hi = report.mb_interval
             taus, gains = scalar_mb_scan(gn.phi1, gn.phi2, gn.x1, gn.x2, beta)
             for tau, gain in zip(taus, gains):
+                if abs(gain) <= rounding:
+                    gain = float(min(decimal_gains(gn.phi1, gn.phi2, gn.x1, gn.x2, tau, beta)))
                 if gain > 0.0:
                     assert lo - tol <= tau <= hi + tol
                 if lo + tol < tau < hi - tol:
