@@ -93,10 +93,17 @@ def _require_normalized_oriented(g: GameParams) -> None:
         raise ValueError("game must be oriented: phi2/phi1 <= x2/x1 is violated")
 
 
+def _proportional(a, b, maximum=max):
+    """Whether a and b agree within PROPORTIONAL_RTOL, the band of case 4; arrays take maximum=np.maximum.
+
+    Symmetric in a and b: a - b is exactly -(b - a), and max is symmetric.
+    """
+    return abs(a - b) <= PROPORTIONAL_RTOL * maximum(a, b)
+
+
 def _response_f(phi1: float, phi2: float, x1: float, x2: float) -> tuple[int, float]:
     """(case, split) of an oriented unit-adversary game: a plain-int label, the allocation to front 1."""
-    a, b = phi2 * x1, phi1 * x2
-    proportional = abs(a - b) <= PROPORTIONAL_RTOL * max(a, b)
+    proportional = _proportional(phi2 * x1, phi1 * x2)
     if proportional and x1 + x2 >= 1.0:
         return 4, x1 / (x1 + x2)
     if not proportional and phi2 / phi1 <= x1 * x2:
@@ -147,8 +154,7 @@ def _orient_vec(phi1: float, phi2: float, x1: np.ndarray, x2: np.ndarray):
 
 def _classify_vec(phi1, phi2, x1, x2) -> tuple[np.ndarray, np.ndarray]:
     """(case, q) per element of oriented arrays, the case as _response_f's; case 4 takes precedence."""
-    a, b = phi2 * x1, phi1 * x2
-    proportional = np.abs(a - b) <= PROPORTIONAL_RTOL * np.maximum(a, b)
+    proportional = _proportional(phi2 * x1, phi1 * x2, np.maximum)
     q = np.sqrt(phi1 * x1 * x2 / phi2)
     case = np.where(1.0 - q <= x2, 2, 3)
     case[~proportional & (phi2 / phi1 <= x1 * x2)] = 1

@@ -169,22 +169,26 @@ def _split_guess(
     G(a) = L1(x1b, a) + L2(x2b, 1 - a). A player's slope in the adversary's
     allocation a is -phi/(2x) where the player is strong (a <= x) and
     -phi*x/(2a**2) where it is weak, so G' is continuous and nondecreasing,
-    and on each regime its zero has a closed form. With c = sqrt(phi2/phi1),
-    it is 1/(1 + c*sqrt(x2/x1)) where both players are weak; if player 1 is
-    strong there, 1 - c*sqrt(x1*x2); if player 2 is strong there,
-    sqrt(x1*x2)/c. Where both are strong, G' is a constant, and the zero lies
-    outside that stretch unless phi1/x1 == phi2/x2 makes G flat on it.
+    and on each regime its zero has a closed form. With c = sqrt(phi2/phi1)
+    and cq = c*sqrt(x1*x2), it is x1/(x1 + cq) where both players are weak;
+    if player 1 is strong there, 1 - cq; if player 2 is strong there,
+    cq/c**2. Where both are strong, G' is a constant, and the zero lies
+    outside that stretch unless phi1/x1 == phi2/x2 makes G flat on it. Each
+    regime's guess overwrites the last in place, and so do the clamp into
+    [0, 1] and the rounding.
 
     Only the certificate in _bisect_rows decides whether a guess is kept, so
     a guess that overflows or lands a split off costs time, never a bit.
     """
     with np.errstate(all="ignore"):
-        c, q = np.sqrt(phi2 / phi1), np.sqrt(x1b * x2b)
-        a = 1.0 / (1.0 + c * np.sqrt(x2b / x1b))
-        a = np.where(a < x1b, 1.0 - c * q, a)
-        a = np.where(1.0 - a < x2b, q / c, a)
+        c = np.sqrt(phi2 / phi1)
+        cq = c * np.sqrt(x1b * x2b)
+        a = x1b / (x1b + cq)
+        np.copyto(a, 1.0 - cq, where=a < x1b)
+        np.copyto(a, cq / (c * c), where=1.0 - a < x2b)
         # fmax and fmin take the number over a nan, so a row whose guess overflowed guesses split 0
-        return np.rint(n_split * np.fmin(np.fmax(a, 0.0), 1.0)).astype(np.intp)
+        np.fmin(np.fmax(a, 0.0, out=a), 1.0, out=a)
+        return np.rint(np.multiply(n_split, a, out=a), out=a).astype(np.intp)
 
 
 def _bisect_rows(
@@ -325,7 +329,9 @@ def _tau_grid(
     """The scan's tau rows: (taus, induced x1, induced x2, index of tau == 0).
 
     Budgets are normalized by the adversary's; taus are the multiples of
-    cfg.tau_step strictly inside the transfer domain (-x2, x1).
+    cfg.tau_step strictly inside the transfer domain (-x2, x1). The rows up
+    to the zero index are player 2's donations and the rest player 1's, so
+    each half's induced budgets are computed from its own slice of taus.
     """
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
@@ -338,10 +344,12 @@ def _tau_grid(
     kmin = math.floor(-x2 / step) + 1
     kmax = math.ceil(x1 / step) - 1
     taus = np.arange(kmin, kmax + 1) * step
-    pos = taus > 0.0
-    x1b = np.where(pos, x1 - taus, x1 + beta * (-taus))
-    x2b = np.where(pos, x2 + beta * taus, x2 - (-taus))
-    return taus, x1b, x2b, -kmin
+    i0 = -kmin
+    # k*step keeps the sign of k, so taus[: i0 + 1] <= 0.0 < taus[i0 + 1 :]
+    donated, sent = -taus[: i0 + 1], taus[i0 + 1 :]
+    x1b = np.concatenate((x1 + beta * donated, x1 - sent))
+    x2b = np.concatenate((x2 - donated, x2 + beta * sent))
+    return taus, x1b, x2b, i0
 
 
 def transfer_grid_scan(
@@ -358,7 +366,6 @@ def transfer_grid_scan(
     comparisons inside a declared beta threshold band are skipped.
     """
     taus, x1b, x2b, i0 = _tau_grid(g, beta, cfg)
-    pos = taus > 0.0
 
     n_split = _n_split(cfg.split_step)
     _, u1, u2, row_slack = _bisect_rows(g.phi1, g.phi2, x1b, x2b, n_split)
@@ -383,7 +390,7 @@ def transfer_grid_scan(
         alliance_argmax_tau=float(taus[i_star]),
         alliance_max=alliance_max,
         mutual_margin=float(margin.max()),
-        positive_tau_mutual=bool((margin_conf[pos] > 0.0).any()) if pos.any() else False,
+        positive_tau_mutual=bool((margin_conf[i0 + 1 :] > 0.0).any()),
         alliance_gain_grid=alliance_max - float(alliance[i0]),
         tau_count=int(taus.size),
         slack_mutual=float(2.0 * row_slack.max() + TOLERANCE),

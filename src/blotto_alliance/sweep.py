@@ -14,7 +14,8 @@ name, but it also compares equal to a plain tuple of the same values.
 The raster sends every in-frame cell at every beta through one call of
 transfer_engine._analyze_vec, which equals the scalar point path bit for
 bit and raises its error for the first failing (beta, cell). The beta
-sweep's alliance columns are point queries, one beta at a time. Its four
+sweep orients its game once, tests mutual benefit over the whole beta grid
+in one call, and marches to the alliance optimum one beta at a time. Its four
 payoff maxima are maxima over candidate transfers in closed form, in either
 donation direction: zero and the domain edges; the case boundaries and the
 proportional band's edges, each read on both sides; each player's
@@ -33,17 +34,18 @@ import numpy as np
 
 from blotto_alliance.adversary_response import PROPORTIONAL_RTOL, Case, GameParams
 from blotto_alliance.transfer_engine import (
+    _alliance_optimal_f,
     _analyze_vec,
     _check_beta,
     _crossing_equations,
     _even_grid,
     _induced_payoffs,
     _induced_payoffs_vec,
+    _mutual_benefit_f,
+    _oriented_floats,
     _quadratic_roots_vec,
     _seed_polynomials,
     _tau_bounds,
-    alliance_optimal,
-    mb_exists,
 )
 
 
@@ -245,6 +247,10 @@ def beta_sweep(
     scales with the valuations. max_u12 uses the exact alliance optimum.
     Payoffs at the alliance-optimal transfer are tabulated separately since
     that transfer generally favors one player.
+
+    The game is oriented once, and one mutual-benefit call covers every beta
+    before the per-beta marches, so the threshold's error comes first, as on
+    the point path.
     """
     lo, hi = beta_range
     if not (0.0 < lo < hi <= 1.0):
@@ -252,14 +258,14 @@ def beta_sweep(
     betas = _even_grid(lo, hi, steps)
     u1_nom, u2_nom = _induced_payoffs(g, 0.0, 1.0)
     u12_nom = u1_nom + u2_nom
+    xa = g.adversary_budget
+    *oriented, swapped = _oriented_floats(g)
+    exists = _mutual_benefit_f(*oriented, betas)[2].tolist()
     points = []
-    for beta in betas.tolist():
-        # the point path's order, so a failing game raises its first error
-        mb = mb_exists(g, beta)
-        tau_dag, gain = alliance_optimal(g, beta)
+    for mb, beta in zip(exists, betas.tolist()):
+        _, tau_dag, gain = _alliance_optimal_f(*oriented, beta, swapped, xa)
         points.append((mb, tau_dag, gain, *_induced_payoffs(g, tau_dag, beta)))
 
-    xa = g.adversary_budget
     x1, x2 = g.x1 / xa, g.x2 / xa
     tau_lo, tau_hi = _tau_bounds(g.x1, g.x2)
     with np.errstate(all="ignore"):  # missing and overflowing roots read 0.0

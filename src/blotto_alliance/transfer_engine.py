@@ -47,9 +47,10 @@ The point path, the mutual-benefit test then the alliance march, also runs
 as one array pass, _analyze_vec, over broadcast arrays of oriented
 unit-adversary games; only the region raster calls it. Each closed-form
 rule is written once and both paths call it: the mutual-benefit rule, the
-transfer-domain edge, the seed polynomials, the stationary ratios and the
-alliance gain. So is the evenly spaced grid, _even_grid, which every sweep
-product and mutual_margin take their grids from. The array pass takes the
+transfer-domain edge, the seed polynomials, the case-4 test at a cut, the
+stationary ratios and the alliance gain. So is the evenly spaced grid,
+_even_grid, which every sweep product and mutual_margin take their grids
+from. The array pass takes the
 scalar steps in the same order, so every element equals the scalar result
 bit for bit, the sign of zero included. It only flags the games the point
 path rejects, then reruns the point path to raise that path's own error,
@@ -73,6 +74,7 @@ from blotto_alliance.adversary_response import (
     _payoffs_any_f,
     _payoffs_f,
     _payoffs_vec,
+    _proportional,
     _response_f,
     normalize,
 )
@@ -376,6 +378,15 @@ def _segment_label(phi1: float, phi2: float, x1: float, x2: float, beta: float, 
     return _response_f(phi1, phi2, u, v)[0], False
 
 
+def _in_case_4(phi1, phi2, u, v, maximum=max):
+    """Whether budgets (u, v) put the game in case 4; arrays take maximum=np.maximum.
+
+    Orientation-free: the band test and u + v are symmetric under the player
+    swap, so this is _segment_label's case == 4 without orienting first.
+    """
+    return _proportional(phi2 * u, phi1 * v, maximum) & (u + v >= 1.0)
+
+
 def _stationary_ratios(phi1, phi2, x1, x2, beta):
     """u/v where d(u1 + u2)/dt = 0 in case 2, flipped case 2 and case 3; floats or arrays."""
     big_k = x1 + beta * x2  # x1_bar + beta*x2_bar is invariant along donations
@@ -399,7 +410,7 @@ def _march_alliance(phi1: float, phi2: float, x1: float, x2: float, beta: float)
     t_top = -_tau_bounds(x1, x2)[0]
     cuts = [0.0, *sorted(_boundary_seeds(phi1, phi2, x1, x2, beta, t_top)), t_top]
     for t_a, t_b in zip(cuts, cuts[1:]):
-        if _segment_label(phi1, phi2, x1, x2, beta, t_a)[0] == 4:
+        if _in_case_4(phi1, phi2, x1 + beta * t_a, x2 - t_a):
             return t_a
         case, flipped = _segment_label(phi1, phi2, x1, x2, beta, 0.5 * (t_a + t_b))
         if case == 1 and not flipped:
@@ -463,7 +474,9 @@ def _march_alliance_vec(phi1, phi2, x1, x2, beta) -> np.ndarray:
 
     The seeds inside (0, t_top) are sorted into one row of cuts per element,
     with t_top after the last of them and +inf after that; each step of the
-    walk labels one segment of every element still marching.
+    walk gathers the games of the elements still marching once, tests their
+    cut for case 4 with the orientation-free _in_case_4, and labels their
+    segment at its midpoint.
     """
     t_top = -_tau_bounds(x1, x2, np.maximum)[0]
     linear, quadratics = _seed_polynomials(phi1, phi2, x1, x2, beta, np.float_power)
@@ -472,26 +485,24 @@ def _march_alliance_vec(phi1, phi2, x1, x2, beta) -> np.ndarray:
     cuts = np.sort(np.column_stack([np.zeros_like(t_top), seeds, t_top]), axis=1)
     ratio_2, ratio_2_flipped, ratio_3 = _stationary_ratios(phi1, phi2, x1, x2, beta)
 
-    def label(i, t):
-        u, v = x1[i] + beta[i] * t, x2[i] - t
-        flipped, *oriented = _orient_vec(phi1[i], phi2[i], u, v)
-        return _classify_vec(*oriented)[0], flipped
-
     t_dag = t_top.copy()  # where every segment improves to its far end
     live = np.arange(t_top.size)
     for k in range(cuts.shape[1] - 1):
         live = live[cuts[live, k + 1] < np.inf]
         if live.size == 0:
             break
+        p1, p2, y1, y2, b = phi1[live], phi2[live], x1[live], x2[live], beta[live]
         t_a, t_b = cuts[live, k], cuts[live, k + 1]
-        case, flipped = label(live, 0.5 * (t_a + t_b))
-        at_a = (label(live, t_a)[0] == 4) | (case == 4) | ((case == 1) & flipped)
+        t_mid = 0.5 * (t_a + t_b)
+        flipped, *oriented = _orient_vec(p1, p2, y1 + b * t_mid, y2 - t_mid)
+        case = _classify_vec(*oriented)[0]
+        at_a = _in_case_4(p1, p2, y1 + b * t_a, y2 - t_a, np.maximum) | (case == 4) | ((case == 1) & flipped)
         r = np.where(case == 3, ratio_3[live], np.where(flipped, ratio_2_flipped[live], ratio_2[live]))
-        t = (r * x2[live] - x1[live]) / (beta[live] + r)
-        inside = ~at_a & (case != 1) & (t < t_b)
+        t = (r * y2 - y1) / (b + r)
+        done = at_a | ((case != 1) & (t < t_b))
         # max(t, t_a) keeps t on a tie, so a -0.0 survives as it does in the scalar march
-        t_dag[live] = np.where(at_a, t_a, np.where(inside, np.where(t >= t_a, t, t_a), t_dag[live]))
-        live = live[~(at_a | inside)]
+        t_dag[live[done]] = np.where(at_a | (t < t_a), t_a, t)[done]
+        live = live[~done]
     return t_dag
 
 

@@ -299,7 +299,8 @@ class TestWarmStart:
             assert_warm_start_matches_full_bisection(phi1, phi2, x1b, x2b, n_split)
 
     def test_the_guess_is_certified_on_all_but_a_thousandth_of_the_audit_rows(self, monkeypatch):
-        # a later edit that keeps every bit but loses the guess's accuracy fails here
+        # a later edit that keeps every bit but loses the guess's accuracy fails here; at
+        # the finer split counts a guess in float32 is rejected on 28 and 84 of 45,230 rows
         fallback = oracle_module._bisect_row
         calls = []
 
@@ -308,13 +309,15 @@ class TestWarmStart:
             return fallback(*args)
 
         monkeypatch.setattr(oracle_module, "_bisect_row", counted)
-        rows = 0
-        for g in FIXED_SEED_GAMES.values():
-            for beta in DEFAULT_VERIFY_BETAS:
-                _, x1b, x2b, _ = oracle_module._tau_grid(g, beta, OracleConfig())
-                oracle_module._bisect_rows(g.phi1, g.phi2, x1b, x2b, 1000)
-                rows += x1b.size
-        assert len(calls) <= 1e-3 * rows, (len(calls), rows)
+        for tau_step, n_split in ((1e-4, 1000), (1e-3, 10**4), (1e-3, 10**5)):
+            calls.clear()
+            rows = 0
+            for g in FIXED_SEED_GAMES.values():
+                for beta in DEFAULT_VERIFY_BETAS:
+                    _, x1b, x2b, _ = oracle_module._tau_grid(g, beta, OracleConfig(tau_step=tau_step))
+                    oracle_module._bisect_rows(g.phi1, g.phi2, x1b, x2b, n_split)
+                    rows += x1b.size
+            assert len(calls) <= 1e-3 * rows, (n_split, len(calls), rows)
 
     def test_extreme_budgets_are_warning_free(self):
         x1b, x2b = np.array([1e200, 1e-200, 3.0]), np.array([1e200, 1e-200, 1e-250])
@@ -485,6 +488,16 @@ class TestScanCost:
         assert peak <= 21 * 8 * report.tau_count, peak / (8 * report.tau_count)
 
 
+def masked_tau_grid(g, beta, step):
+    """_tau_grid's (taus, x1b, x2b, i0) with one mask over all rows, each row evaluating both branches."""
+    xa = g.adversary_budget
+    x1, x2 = g.x1 / xa, g.x2 / xa
+    kmin, kmax = math.floor(-x2 / step) + 1, math.ceil(x1 / step) - 1
+    taus = np.arange(kmin, kmax + 1) * step
+    pos = taus > 0.0
+    return taus, np.where(pos, x1 - taus, x1 + beta * (-taus)), np.where(pos, x2 + beta * taus, x2 - (-taus)), -kmin
+
+
 class TestTransferGridScan:
     def test_lossless_reference_game_has_mutual_transfers(self):
         report = transfer_grid_scan(G1, 1.0, COARSE)
@@ -521,6 +534,23 @@ class TestTransferGridScan:
     def test_config_rejects_a_step_outside_the_open_positive_range(self, name, step):
         with pytest.raises(ValueError, match=f"{name} must lie in"):
             OracleConfig(**{name: step})
+
+    @pytest.mark.parametrize("tau_step", [1e-4, 1e-3])
+    def test_tau_grid_equals_the_masked_formula(self, tau_step):
+        # a budget one tau step and a bit leaves one transfer in its player's direction
+        tiny = [np.nextafter(tau_step, 1.0), tau_step * (1.0 + 1e-6)]
+        games = [*FIXED_SEED_GAMES.values(), GameParams(1.0, 1.2, 1.0, 3.0, 2.0)]
+        games += [GameParams(1.0, 1.2, 0.5, x) for x in tiny] + [GameParams(1.0, 1.2, x, 0.5) for x in tiny]
+        halves = set()
+        for g in games:
+            for beta in DEFAULT_VERIFY_BETAS:
+                taus, x1b, x2b, i0 = oracle_module._tau_grid(g, beta, OracleConfig(tau_step=tau_step))
+                want = masked_tau_grid(g, beta, tau_step)
+                assert i0 == want[3]
+                assert [v.tobytes() for v in (taus, x1b, x2b)] == [v.tobytes() for v in want[:3]]
+                halves.add((i0, taus.size - i0 - 1))  # (negative taus, positive taus)
+        other = round(0.5 / tau_step) - 1  # the other player's budget is 0.5
+        assert {(1, other), (other, 1)} <= halves
 
     def test_rejects_oversized_tau_step(self):
         with pytest.raises(ValueError, match="tau_step"):

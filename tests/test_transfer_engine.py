@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 from blotto_alliance import transfer_engine as te
 from blotto_alliance.adversary_response import (
+    PROPORTIONAL_RTOL,
     Case,
     GameParams,
+    _classify_vec,
+    _orient_vec,
     _payoffs_any_f,
     _payoffs_f,
     mirror,
@@ -205,6 +208,35 @@ class TestSharedRules:
             assert all(type(verdict) is bool for _, _, verdict in scalar)
             assert {(c, t) for c, t, _ in scalar} == {(case, threshold)}
             np.testing.assert_array_equal(exists, [verdict for _, _, verdict in scalar])
+
+    def test_case_4_without_orienting(self, rng):
+        # random points; points on the proportional ray, where phi1, phi2 = u, v
+        # times a power of two make phi2*u == phi1*v exactly; one ulp either side
+        # of it; seven ulps around each edge of the band; and u + v exactly 1,
+        # then one ulp off
+        u, v = np.exp(rng.uniform(math.log(0.05), math.log(5.0), size=(2, 2000)))
+        points = [(*np.exp(rng.uniform(math.log(0.05), math.log(5.0), size=(2, 2000))), u, v)]
+        scale = 2.0 ** rng.integers(-20, 21, size=u.size)
+        points += [(u * scale, v * scale, u, np.nextafter(v, off)) for off in (v, 0.0, np.inf)]
+        for edge in (v * (1.0 - PROPORTIONAL_RTOL), v * (1.0 + PROPORTIONAL_RTOL)):
+            for _ in range(3):
+                edge = np.nextafter(edge, 0.0)
+            for _ in range(7):
+                points.append((u, v, u, edge))
+                edge = np.nextafter(edge, np.inf)
+        u = rng.uniform(0.5, 1.0, size=500)
+        points += [(u, 1.0 - u, u, np.nextafter(1.0 - u, off)) for off in (1.0 - u, 0.0, 1.0)]
+        phi1, phi2, u, v = (np.concatenate(column) for column in zip(*points))
+
+        got = te._in_case_4(phi1, phi2, u, v, np.maximum)
+        np.testing.assert_array_equal(got, _classify_vec(*_orient_vec(phi1, phi2, u, v)[1:])[0] == 4)
+        games = list(zip(*(column.tolist() for column in (phi1, phi2, u, v))))
+        assert [te._in_case_4(*game) for game in games] == got.tolist()
+        assert [te._segment_label(*game, 0.5, 0.0)[0] == 4 for game in games] == got.tolist()
+        # both orientations reach case 4, and a proportional point below u + v = 1 does not
+        flipped = phi2 * u > phi1 * v
+        assert (got & flipped).any() and (got & ~flipped).any()
+        assert (~got & (u + v < 1.0) & (phi2 * u == phi1 * v)).any()
 
     def test_tau_bounds_over_arrays(self, rng):
         x1, x2 = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=(2, 4000)))
