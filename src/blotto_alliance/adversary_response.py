@@ -132,12 +132,11 @@ def _payoffs_any_f(phi1: float, phi2: float, x1: float, x2: float) -> tuple[floa
     return _payoffs_f(phi1, phi2, x1, x2)
 
 
-# Array kernel: the scalar functions above over numpy arrays of budgets with
-# scalar valuations, element for element in the same order of operations, so
-# every element equals its scalar counterpart bit for bit. _response_f is
-# split in two: _classify_vec returns the case with q = sqrt(phi1*x1*x2/phi2),
-# and _split_vec takes that q as the case-2 split, so the march's labels,
-# which need only the case, skip the split.
+# Array kernel: the scalar functions above over numpy arrays of budgets,
+# element for element in the same order of operations, so every element
+# equals its scalar counterpart bit for bit. _classify_vec returns only the
+# case, with q = sqrt(phi1*x1*x2/phi2), for the march's labels; _payoffs_vec
+# chooses the split itself and never orients its outputs.
 
 
 def _orient_vec(phi1: float, phi2: float, x1: np.ndarray, x2: np.ndarray):
@@ -162,22 +161,29 @@ def _classify_vec(phi1, phi2, x1, x2) -> tuple[np.ndarray, np.ndarray]:
     return case, q
 
 
-def _split_vec(phi1, phi2, x1, x2, case: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """_response_f's split per element of oriented arrays, given _classify_vec's (case, q)."""
-    s1 = np.sqrt(phi1 * x1)
-    s2 = np.sqrt(phi2 * x2)
-    a = np.where(case == 2, q, s1 / (s1 + s2))
-    a[case == 1] = 1.0
-    return np.where(case == 4, x1 / (x1 + x2), a)
+def _payoffs_vec(phi1, phi2, x1: np.ndarray, x2: np.ndarray):
+    """_payoffs_any_f per element: player payoffs (u1, u2) of unit-adversary games.
 
-
-def _payoffs_vec(phi1: float, phi2: float, x1: np.ndarray, x2: np.ndarray):
-    """_payoffs_any_f per element: player payoffs (u1, u2) of unit-adversary games."""
+    The band test, x1 + x2 and x1*x2 are symmetric under the player swap, so
+    they are taken in the caller's frame; the split a goes to the oriented
+    front 1, and each player's own front is read in the caller's frame.
+    """
     flipped, p1, p2, y1, y2 = _orient_vec(phi1, phi2, x1, x2)
-    a = _split_vec(p1, p2, y1, y2, *_classify_vec(p1, p2, y1, y2))
-    v1 = lotto_core.payoff_vec(y1, a, p1)
-    v2 = lotto_core.payoff_vec(y2, 1.0 - a, p2)
-    return np.where(flipped, v2, v1), np.where(flipped, v1, v2)
+    total = x1 + x2
+    r1 = p1 * y1
+    q = np.sqrt(r1 * y2 / p2)
+    s1, s2 = np.sqrt(r1), np.sqrt(p2 * y2)
+    a = np.where(1.0 - q <= y2, q, s1 / (s1 + s2))  # case 2 or 3
+    a = np.where(
+        _proportional(phi2 * x1, phi1 * x2, np.maximum),
+        np.where(total >= 1.0, y1 / total, a),  # case 4, or a proportional game off it
+        np.where(p2 / p1 <= x1 * x2, 1.0, a),  # case 1
+    )
+    b = 1.0 - a
+    return (
+        lotto_core.payoff_vec(x1, np.where(flipped, b, a), phi1),
+        lotto_core.payoff_vec(x2, np.where(flipped, a, b), phi2),
+    )
 
 
 def classify(g: GameParams) -> Case:

@@ -9,7 +9,9 @@ efficiency beta tabulating attainable payoff maxima.
 Rasters depict only the oriented half plane phi2/phi1 <= x2/x1; cells on
 the other side are marked out of frame and carry no analysis fields.
 A raster cell is a named tuple, so it is immutable and reads by field
-name, but it also compares equal to a plain tuple of the same values.
+name, but it also compares equal to a plain tuple of the same values. The
+raster builds one column of Python values per field and makes its cells
+from the zipped columns, with no Python call per cell.
 
 The raster sends every in-frame cell at every beta through one call of
 transfer_engine._analyze_vec, which equals the scalar point path bit for
@@ -22,7 +24,9 @@ proportional band's edges, each read on both sides; each player's
 stationary points; and the crossings of each player's no-transfer payoff.
 Every candidate is a real transfer taken at its true payoffs, so a maximum
 never exceeds what some transfer attains. All rows' candidates go through
-one array call.
+one array call; a candidate of 0.0, a placeholder for a root outside the
+domain or missing, induces the game itself and takes the no-transfer payoffs
+without being evaluated.
 """
 
 import itertools
@@ -99,8 +103,8 @@ class SweepCell(NamedTuple):
     tau_dagger: float | None = None
 
 
-# Case members by value, so a raster maps its case codes without a Case() call each
-_CASE_OF = (None, *Case)
+# Case members by value in an object array, so a raster maps its case codes in one indexing
+_CASE_OF = np.array((None, *Case), dtype=object)
 
 
 def region_raster(grid: SweepGrid) -> list[SweepCell]:
@@ -128,18 +132,22 @@ def region_raster(grid: SweepGrid) -> list[SweepCell]:
         phi1, phi2, x1_in, x2_in, np.array(grid.beta_list)[:, None]
     )
 
-    # the case does not depend on beta
-    labels = [_CASE_OF[c] for c in case[0].tolist()]
-    points = list(zip(itertools.product(x2_values, x1_values), in_frame.ravel().tolist()))
-    cells = []
-    for beta, exists_row, tau_row in zip(grid.beta_list, exists.tolist(), tau_dagger.tolist()):
-        # (case_label, mb_exists, tau_dagger) of each in-frame cell, in raster order
-        fields = zip(labels, exists_row, tau_row)
-        cells += [
-            SweepCell(beta, x1, x2, True, *next(fields)) if inside else SweepCell(beta, x1, x2, False)
-            for (x2, x1), inside in points
-        ]
-    return cells
+    # one column per SweepCell field in raster order, beta rows first
+    nb, n = len(grid.beta_list), in_frame.size
+    inside = in_frame.ravel()
+    columns = [
+        list(itertools.chain.from_iterable(itertools.repeat(beta, n) for beta in grid.beta_list)),
+        x1_values * (len(x2_values) * nb),
+        list(itertools.chain.from_iterable(itertools.repeat(x2, len(x1_values)) for x2 in x2_values)) * nb,
+        inside.tolist() * nb,
+    ]
+    # the analysis fields hold None out of frame: spread the in-frame values into one object array
+    spread = np.full((nb, n), None, dtype=object)
+    for values in (_CASE_OF[case], exists, tau_dagger):
+        spread[:, inside] = values
+        columns.append(spread.ravel().tolist())
+    # tuple.__new__ makes each cell in C, with no Python call per cell
+    return list(map(tuple.__new__, itertools.repeat(SweepCell), zip(*columns)))
 
 
 def payoff_curves(
@@ -272,7 +280,11 @@ def beta_sweep(
         by_2 = _donation_candidates(g.phi1, g.phi2, u1_nom, u2_nom, x1, x2, betas, -tau_lo / xa)
         by_1 = _donation_candidates(g.phi2, g.phi1, u2_nom, u1_nom, x2, x1, betas, tau_hi / xa)
     ends = np.broadcast_to([0.0, tau_lo, tau_hi], (steps, 3))
-    u1, u2 = _induced_payoffs_vec(g, np.hstack([ends, -xa * by_2, xa * by_1]), betas[:, None])
+    taus = np.hstack([ends, -xa * by_2, xa * by_1])
+    # a transfer of +-0.0 induces the game itself at any beta: only real candidates are evaluated
+    real = taus != 0.0
+    u1, u2 = np.full(taus.shape, u1_nom), np.full(taus.shape, u2_nom)
+    u1[real], u2[real] = _induced_payoffs_vec(g, taus[real], np.broadcast_to(betas[:, None], taus.shape)[real])
     slack = 1e-12 * (g.phi1 + g.phi2)
     # (max_u1_mutual, max_u2_mutual, max_u1_any, max_u2_any) per row
     maxima = np.column_stack([

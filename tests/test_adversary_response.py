@@ -14,7 +14,6 @@ from blotto_alliance.adversary_response import (
     _payoffs_any_f,
     _payoffs_vec,
     _response_f,
-    _split_vec,
     classify,
     mirror,
     normalize,
@@ -239,22 +238,20 @@ def march_label(phi1, phi2, u, v):
 
 
 def assert_kernel_matches_scalar(phi1, phi2, x1, x2):
-    points = list(zip(x1.tolist(), x2.tolist()))
+    """_payoffs_vec against _payoffs_any_f; phi1 and phi2 are floats or arrays of the budgets' shape."""
+    games = zip(*(np.broadcast_to(v, x1.shape).tolist() for v in (phi1, phi2, x1, x2)))
+    expected = [_payoffs_any_f(*game) for game in games]
     u1, u2 = _payoffs_vec(phi1, phi2, x1, x2)
-    expected = [_payoffs_any_f(phi1, phi2, a, b) for a, b in points]
     np.testing.assert_array_equal(u1, [e[0] for e in expected])
     np.testing.assert_array_equal(u2, [e[1] for e in expected])
 
 
 def assert_twins_match_scalar(phi1, phi2, x1, x2):
-    """_classify_vec's (case, q) and _split_vec's split against _response_f, by repr so -0.0 counts."""
+    """_classify_vec's (case, q) against _response_f's case and its q, by repr so -0.0 counts."""
     _, p1, p2, y1, y2 = _orient_vec(phi1, phi2, x1, x2)
     case, q = _classify_vec(p1, p2, y1, y2)
-    split = _split_vec(p1, p2, y1, y2, case, q)
     games = list(zip(p1.tolist(), p2.tolist(), y1.tolist(), y2.tolist()))
-    expected = [_response_f(*game) for game in games]
-    assert case.tolist() == [c for c, _ in expected]
-    assert [repr(a) for a in split.tolist()] == [repr(a) for _, a in expected]
+    assert case.tolist() == [_response_f(*game)[0] for game in games]
     assert [repr(v) for v in q.tolist()] == [repr(math.sqrt(a * c * d / b)) for a, b, c, d in games]
 
 
@@ -279,3 +276,14 @@ class TestArrayKernel:
         x1, x2 = boundary_budgets(phi1, phi2, xs, pairs)
         assert_kernel_matches_scalar(phi1, phi2, x1, x2)
         assert_twins_match_scalar(phi1, phi2, x1, x2)
+        # the broadcast valuations the raster's alliance gain passes
+        assert_kernel_matches_scalar(np.full(x1.shape, phi1), np.full(x1.shape, phi2), x1, x2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(log_uniform, log_uniform, log_uniform), min_size=1, max_size=4))
+    def test_array_valuations_match_scalar(self, games):
+        # each element its own valuations, its budgets on that pair's boundaries
+        parts = [(phi1, phi2, *boundary_budgets(phi1, phi2, [x])) for phi1, phi2, x in games]
+        x1, x2 = (np.concatenate([part[k] for part in parts]) for k in (2, 3))
+        phi1, phi2 = (np.concatenate([np.full(part[2].shape, part[k]) for part in parts]) for k in (0, 1))
+        assert_kernel_matches_scalar(phi1, phi2, x1, x2)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blotto_alliance import transfer_engine as te
+from blotto_alliance import sweep, transfer_engine as te
 from blotto_alliance.adversary_response import Case, GameParams, mirror
 from blotto_alliance.cli import main
 from blotto_alliance.sweep import (
@@ -103,6 +103,26 @@ def assert_maxima_bracketed(g, beta_range, steps):
         above = grid_maxima(g, row.beta, fine, 1e-12 * scale + step) + np.tile(step, 2)
         assert np.all(below <= got), (g, row.beta, dict(zip(MAXIMA, got - below)))
         assert np.all(got <= above), (g, row.beta, dict(zip(MAXIMA, got - above)))
+
+
+def restated_maxima(g, beta_range, steps):
+    """beta_sweep's four maxima from every candidate column, each 0.0 placeholder evaluated too."""
+    betas = te._even_grid(*beta_range, steps)
+    u1_nom, u2_nom = te._induced_payoffs(g, 0.0, 1.0)
+    xa = g.adversary_budget
+    lo, hi = te._tau_bounds(g.x1, g.x2)
+    with np.errstate(all="ignore"):
+        by_2 = sweep._donation_candidates(g.phi1, g.phi2, u1_nom, u2_nom, g.x1 / xa, g.x2 / xa, betas, -lo / xa)
+        by_1 = sweep._donation_candidates(g.phi2, g.phi1, u2_nom, u1_nom, g.x2 / xa, g.x1 / xa, betas, hi / xa)
+    taus = np.hstack([np.broadcast_to([0.0, lo, hi], (steps, 3)), -xa * by_2, xa * by_1])
+    u1, u2 = te._induced_payoffs_vec(g, taus, betas[:, None])
+    slack = 1e-12 * (g.phi1 + g.phi2)
+    return np.column_stack([
+        np.max(u1, axis=1, where=u2 >= u2_nom - slack, initial=-math.inf),
+        np.max(u2, axis=1, where=u1 >= u1_nom - slack, initial=-math.inf),
+        np.max(u1, axis=1),
+        np.max(u2, axis=1),
+    ])
 
 
 def reprs(records):
@@ -217,6 +237,37 @@ class TestRegionRaster:
         ]) == 0
         header = capsys.readouterr().out.splitlines()[0].split(",")
         assert header == [name.replace("case_label", "case") for name in SweepCell._fields]
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            FIG_RASTER,
+            SweepGrid(
+                axes=(Axis("x1", 2.0, 3.0, 3), Axis("x2", 0.1, 0.2, 3)),
+                fixed={"phi1": 1.0, "phi2": 1.0},
+                beta_list=(0.5,),
+            ),
+            # (1, 0.5) is out of frame, the other three cells in it
+            SweepGrid(
+                axes=(Axis("x1", 0.5, 1.0, 2), Axis("x2", 0.5, 1.0, 2)),
+                fixed={"phi1": 1.2, "phi2": 1.0},
+                beta_list=(0.5, 1.0),
+            ),
+        ],
+        ids=["figure", "all-out-of-frame", "2x2"],
+    )
+    def test_cells_are_whole_and_hold_python_values(self, grid):
+        # tuple.__new__ builds the cells and checks no arity, so each is checked here
+        cells = region_raster(grid)
+        assert len(cells) == len(grid.beta_list) * math.prod(a.steps for a in grid.axes)
+        for cell in cells:
+            assert type(cell) is SweepCell and len(cell) == 7
+            assert [type(v) for v in cell[:4]] == [float, float, float, bool]
+            if cell.in_frame:
+                assert any(cell.case_label is member for member in Case)
+                assert type(cell.mb_exists) is bool and type(cell.tau_dagger) is float
+            else:
+                assert all(v is None for v in cell[4:])
 
     def test_all_cells_out_of_frame(self):
         grid = SweepGrid(
@@ -363,6 +414,18 @@ class TestBetaSweep:
             rows = [dataclasses.astuple(r) for r in beta_sweep(game, beta_range, steps)]
             point = [r[:4] + r[8:] for r in rows]
             assert list(map(repr, point)) == list(map(repr, scalar_beta_sweep(game, beta_range, steps)))
+
+    @pytest.mark.parametrize("steps", [20, 1000])
+    @pytest.mark.parametrize(
+        "game",
+        [*SWEEP_GAMES, GameParams(1.2, 1.0, 1.5, 0.5, 2.0)],
+        ids=[*SWEEP_IDS, "G1-swapped-xa-2"],
+    )
+    def test_maxima_equal_every_candidate_evaluated(self, game, steps):
+        # the sweep evaluates only real candidates and fills the rest with the nominal payoffs
+        rows = beta_sweep(game, (0.05, 1.0), steps)
+        got = np.array([[getattr(row, name) for name in MAXIMA] for row in rows])
+        assert got.tobytes() == restated_maxima(game, (0.05, 1.0), steps).tobytes()
 
     @pytest.mark.parametrize("game", SWEEP_GAMES, ids=SWEEP_IDS)
     def test_maxima_lie_between_grid_readings(self, game):
