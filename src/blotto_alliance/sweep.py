@@ -111,8 +111,7 @@ def region_raster(grid: SweepGrid) -> list[SweepCell]:
     """One cell per (beta, x2, x1) triple, row-major with x1 varying fastest.
 
     Raises the point path's error for the first failing in-frame cell in
-    that order, as when its mutual-benefit threshold or alliance march
-    leaves the float range.
+    that order, as when its alliance march leaves the float range.
     """
     phi1 = float(grid.fixed["phi1"])
     phi2 = float(grid.fixed["phi2"])
@@ -257,8 +256,7 @@ def beta_sweep(
     that transfer generally favors one player.
 
     The game is oriented once, and one mutual-benefit call covers every beta
-    before the per-beta marches, so the threshold's error comes first, as on
-    the point path.
+    before the per-beta marches.
     """
     lo, hi = beta_range
     if not (0.0 < lo < hi <= 1.0):

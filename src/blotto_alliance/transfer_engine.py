@@ -9,18 +9,17 @@ indices on entry and negating transfer signs on exit.
 
 Closed forms implemented here:
 
-  * mutual-benefit efficiency threshold
-        min( sqrt(4*phi2*x1/(phi1*x2**3)) - x1/x2,
-             sqrt(4*phi2*x1/(phi1*x2))    + x1/x2 )
-    where the first branch binds in case 2 and the second in case 3; a
-    mutually beneficial transfer exists iff the game is in case 2 or 3 and
-    beta strictly exceeds the branch for its case.
+  * both efficiency thresholds, as functions of R = sqrt(phi2/phi1 * x1/x2).
+    The mutual-benefit threshold is min((2R - x1)/x2, 2R + x1/x2), where the
+    first branch binds in case 2 and the second in case 3; a mutually
+    beneficial transfer exists iff the game is in case 2 or 3 and beta
+    strictly exceeds the branch for its case.
 
   * the zero-transfer-optimal set: games where no transfer can raise the
     combined payoff u1 + u2. Case 4 games always belong; case 2 games belong
-    iff x1 + beta*x2 <= sqrt(phi2*x1/(phi1*x2)); case 3 games belong iff
-    beta <= sqrt(phi2*x1/(phi1*x2)), both decided as
-    beta <= alliance_beta_threshold; case 1 games never belong.
+    iff x1 + beta*x2 <= R, that is beta <= (R - x1)/x2; case 3 games belong
+    iff beta <= R; case 1 games never belong. The case-2 and case-3 bounds
+    are alliance_beta_threshold.
 
   * the alliance-optimal transfer. Along the donation path the case
     boundaries are roots of linear and quadratic polynomials in the
@@ -46,16 +45,15 @@ and changes nothing else, while the payoffs stay normal floats.
 The point path, the mutual-benefit test then the alliance march, also runs
 as one array pass, _analyze_vec, over broadcast arrays of oriented
 unit-adversary games; only the region raster calls it. Each closed-form
-rule is written once and both paths call it: the mutual-benefit rule, the
-transfer-domain edge, the seed polynomials, the case-4 test at a cut, the
-stationary ratios and the alliance gain. So is the evenly spaced grid,
-_even_grid, which every sweep product and mutual_margin take their grids
-from. The array pass takes the
-scalar steps in the same order, so every element equals the scalar result
-bit for bit, the sign of zero included. It only flags the games the point
-path rejects, then reruns the point path to raise that path's own error,
-so only the scalar path words a threshold-range, seed-overflow or
-losing-transfer error.
+rule is written once and both paths call it: the thresholds, the
+mutual-benefit rule, the transfer-domain edge, the seed polynomials, the
+case-4 test at a cut, the stationary ratios and the alliance gain. So is the
+evenly spaced grid, _even_grid, which every sweep product and mutual_margin
+take their grids from. The array pass takes the scalar steps in the same
+order, so every element equals the scalar result bit for bit, the sign of
+zero included. It only flags the games the point path rejects, then reruns
+the point path to raise that path's own error, so only the scalar path
+words a seed-overflow or losing-transfer error.
 """
 
 import math
@@ -80,9 +78,11 @@ from blotto_alliance.adversary_response import (
 )
 
 # Transfers are clamped this far inside the open domain (-x2, x1) before
-# payoff evaluation: absolute for budgets below 1, relative above (see
-# _tau_bounds); the boundaries themselves are excluded.
+# payoff evaluation (see _tau_bounds): _EDGE of the budget above 1, _EDGE
+# itself from _EDGE_CAP up to 1, and _EDGE_CAP of the budget below that, so
+# the range never empties; the boundaries themselves are excluded.
 _EDGE = 1e-12
+_EDGE_CAP = 1e-6
 # mutual_margin evaluates this many evenly spaced transfers, from one end
 # of _tau_bounds to the other.
 _DOMAIN_POINTS = 2001
@@ -149,9 +149,11 @@ def _induced_budgets(x1: float, x2: float, tau: float, beta: float) -> tuple[flo
     return x1 + beta * (-tau), x2 - (-tau)
 
 
-def _tau_bounds(x1: float, x2: float, maximum=max) -> tuple[float, float]:
-    """The closed range of transfers that payoffs are evaluated at; arrays take maximum=np.maximum."""
-    return -x2 + maximum(_EDGE, _EDGE * x2), x1 - maximum(_EDGE, _EDGE * x1)
+def _tau_bounds(x1: float, x2: float, maximum=max, minimum=min) -> tuple[float, float]:
+    """The closed range of transfers that payoffs are evaluated at; arrays take np.maximum and np.minimum."""
+    edge1 = minimum(maximum(_EDGE, _EDGE * x1), _EDGE_CAP * x1)
+    edge2 = minimum(maximum(_EDGE, _EDGE * x2), _EDGE_CAP * x2)
+    return -x2 + edge2, x1 - edge1
 
 
 def _even_grid(lo: float, hi: float, steps: int) -> np.ndarray:
@@ -208,25 +210,19 @@ def _oriented_floats(g: GameParams) -> tuple[float, float, float, float, bool]:
     return gn.phi1, gn.phi2, gn.x1, gn.x2, swapped
 
 
-def _mb_threshold_branches(phi1, phi2, x1, x2, cube, sqrt=math.sqrt):
-    """The case-2 and case-3 branches of the threshold, given cube = phi1*x2**3."""
-    return sqrt(4.0 * phi2 * x1 / cube) - x1 / x2, sqrt(4.0 * phi2 * x1 / (phi1 * x2)) + x1 / x2
+def _threshold_branches(phi1, phi2, x1, x2, sqrt=math.sqrt):
+    """The case-2 and case-3 branches of the mutual-benefit and of the alliance threshold.
+
+    Each is a function of R = sqrt(phi2/phi1 * x1/x2): ((2R - x1)/x2, 2R + x1/x2)
+    and ((R - x1)/x2, R). Floats, or arrays with sqrt=np.sqrt.
+    """
+    root = sqrt(phi2 / phi1 * (x1 / x2))
+    return ((2.0 * root - x1) / x2, 2.0 * root + x1 / x2), ((root - x1) / x2, root)
 
 
 def _mb_threshold_f(phi1: float, phi2: float, x1: float, x2: float) -> float:
-    """The mutual-benefit threshold; ValueError where phi1*x2**3 is 0 or overflows."""
-    try:
-        cube = phi1 * x2**3
-    except OverflowError:
-        cube = math.inf
-    if not 0.0 < cube < math.inf:
-        how = "underflows to 0" if cube == 0.0 else "overflows"
-        raise ValueError(
-            f"mutual-benefit threshold out of float range: phi1*x2**3 {how} "
-            f"(phi1={phi1!r}, x2={x2!r} against a unit adversary)"
-        )
-    t_case2, t_case3 = _mb_threshold_branches(phi1, phi2, x1, x2, cube)
-    return min(t_case2, t_case3)
+    """The mutual-benefit threshold of an oriented unit-adversary game."""
+    return min(_threshold_branches(phi1, phi2, x1, x2)[0])
 
 
 def mb_beta_threshold(g: GameParams) -> float:
@@ -265,17 +261,11 @@ def in_g_dagger(g: GameParams, beta: float) -> bool:
     return _in_g_dagger_f(phi1, phi2, x1, x2, beta)
 
 
-def _alliance_threshold_branches(phi1, phi2, x1, x2, sqrt=math.sqrt):
-    """The case-2 and case-3 alliance thresholds (R - x1)/x2 and R, for R = sqrt(phi2*x1/(phi1*x2))."""
-    root = sqrt(phi2 * x1 / (phi1 * x2))
-    return (root - x1) / x2, root
-
-
 def _alliance_threshold_f(phi1: float, phi2: float, x1: float, x2: float, case: int) -> float | None:
     """Zero transfer is alliance-optimal iff beta <= this (cases 2, 3); None in cases 1, 4."""
     if case in (1, 4):
         return None
-    return _alliance_threshold_branches(phi1, phi2, x1, x2)[case - 2]
+    return _threshold_branches(phi1, phi2, x1, x2)[1][case - 2]
 
 
 def _in_g_dagger_f(phi1: float, phi2: float, x1: float, x2: float, beta: float) -> bool:
@@ -391,7 +381,7 @@ def _stationary_ratios(phi1, phi2, x1, x2, beta):
     """u/v where d(u1 + u2)/dt = 0 in case 2, flipped case 2 and case 3; floats or arrays."""
     big_k = x1 + beta * x2  # x1_bar + beta*x2_bar is invariant along donations
     # in case 3, sqrt(u/v) = beta*sqrt(phi1/phi2): its quadratic's discriminant is (beta*phi1 + phi2)**2
-    return big_k * big_k * phi1 / phi2, beta * beta * phi1 / (phi2 * big_k * big_k), beta * beta * phi1 / phi2
+    return big_k * big_k * phi1 / phi2, beta / big_k * (beta / big_k) * phi1 / phi2, beta * beta * phi1 / phi2
 
 
 def _march_alliance(phi1: float, phi2: float, x1: float, x2: float, beta: float) -> float:
@@ -478,7 +468,7 @@ def _march_alliance_vec(phi1, phi2, x1, x2, beta) -> np.ndarray:
     cut for case 4 with the orientation-free _in_case_4, and labels their
     segment at its midpoint.
     """
-    t_top = -_tau_bounds(x1, x2, np.maximum)[0]
+    t_top = -_tau_bounds(x1, x2, np.maximum, np.minimum)[0]
     linear, quadratics = _seed_polynomials(phi1, phi2, x1, x2, beta, np.float_power)
     seeds = np.stack([linear, *(root for q in quadratics for root in _quadratic_roots_vec(*q))], axis=1)
     seeds[~((0.0 < seeds) & (seeds < t_top[:, None]))] = np.inf
@@ -522,15 +512,14 @@ def _analyze_vec(phi1, phi2, x1, x2, beta):
     phi1, phi2, x1, x2, beta = (v.ravel() for v in args)
     with np.errstate(all="ignore"):  # Python floats overflow silently too
         case = _classify_vec(phi1, phi2, x1, x2)[0]
-        cube = phi1 * np.float_power(x2, 3)
-        t_case2, t_case3 = _mb_threshold_branches(phi1, phi2, x1, x2, cube, np.sqrt)
+        (t_case2, t_case3), alliance = _threshold_branches(phi1, phi2, x1, x2, np.sqrt)
         threshold = np.where(t_case3 < t_case2, t_case3, t_case2)  # min() keeps the first on a tie
-        below = [beta <= t for t in _alliance_threshold_branches(phi1, phi2, x1, x2, np.sqrt)]
+        below = [beta <= t for t in alliance]
         dagger = (case == 4) | ((case == 2) & below[0]) | ((case == 3) & below[1])
         overflow = np.logical_or(*map(np.isinf, _seed_squares(x1, x2, np.float_power)))
         t_dag = _march_alliance_vec(phi1, phi2, x1, x2, beta)
         gain, losing = _alliance_gain(phi1, phi2, x1, x2, beta, t_dag, _payoffs_vec)
-    if (~((cube > 0.0) & (cube < math.inf)) | (~dagger & (overflow | losing))).any():
+    if (~dagger & (overflow | losing)).any():
         for game in zip(*(v.tolist() for v in (phi1, phi2, x1, x2, beta))):
             _mutual_benefit_f(*game)
             _alliance_optimal_f(*game, False, 1.0)

@@ -107,3 +107,19 @@ def decimal_gains(phi1, phi2, x1, x2, tau, beta):
         u1, u2 = decimal_payoffs(phi1, phi2, y1, y2)
         v1, v2 = decimal_payoffs(phi1, phi2, x1, x2)
         return u1 - v1, u2 - v2
+
+
+def decimal_thresholds(phi1, phi2, x1, x2):
+    """The case-2 and case-3 branches of the mutual-benefit and alliance thresholds, as 60-digit Decimals.
+
+    Written as the paper states them, not through R: mutual benefit
+    sqrt(4*phi2*x1/(phi1*x2**3)) - x1/x2 and sqrt(4*phi2*x1/(phi1*x2)) + x1/x2,
+    alliance (sqrt(phi2*x1/(phi1*x2)) - x1)/x2 and sqrt(phi2*x1/(phi1*x2)), for
+    an oriented unit-adversary game. Decimal's exponent range holds every
+    product of floats, so no product underflows or overflows here.
+    """
+    with decimal.localcontext(DECIMAL_CONTEXT):
+        phi1, phi2, x1, x2 = (decimal.Decimal(v) for v in (phi1, phi2, x1, x2))
+        root = (phi2 * x1 / (phi1 * x2)).sqrt()
+        mutual = ((4 * phi2 * x1 / (phi1 * x2**3)).sqrt() - x1 / x2, (4 * phi2 * x1 / (phi1 * x2)).sqrt() + x1 / x2)
+        return mutual, ((root - x1) / x2, root)

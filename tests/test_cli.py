@@ -7,7 +7,10 @@ import json
 
 import pytest
 
+from blotto_alliance.adversary_response import GameParams
 from blotto_alliance.cli import _dumps, _json_float, main
+from blotto_alliance.transfer_engine import analyze
+from support import decimal_thresholds
 
 G1_FLAGS = ["--phi1", "1", "--phi2", "1.2", "--x1", "0.5", "--x2", "1.5"]
 # G1 with every budget tripled; the adversary holds 3
@@ -39,15 +42,18 @@ SEED_OVERFLOW = "(1 - x1)**2 or (1 - x2)**2 overflows (x1=1e+200, x2=1.0 against
 # 4.6e-4 (max_u1_mutual), 5.4e-8 (max_u2_mutual), 3.8e-4 (max_u1_any) and
 # 5.4e-8 (max_u2_any); max_u1_mutual fell by 9.7e-14 in one row of
 # beta-sweep, where the grid's slack had admitted a point at which player 2
-# lost. No other column changed.
+# lost. No other column changed. Writing the mutual-benefit threshold
+# through R = sqrt(phi2/phi1 * x1/x2) moved mb_beta_threshold in analyze-json
+# and analyze-json-xa by one ulp, from 0.50994070937823444 to
+# 0.50994070937823455, by rounding only.
 GOLDEN_STDOUT = {
     "analyze-json": (
         ["analyze", *G1_FLAGS, "--beta", "0.8", "--json"],
-        "b32145d4cb113134784413e50cb0da10c6a39bf1a181dc0d22745964b6527cf8",
+        "7707a6bad28eee842fe7379e11b037fbafad2b9b049346b61d59bd3dedad933f",
     ),
     "analyze-json-xa": (
         ["analyze", *G1_XA_FLAGS, "--beta", "0.8", "--json"],
-        "89dc3dd44649250b9f23ed6f03937e3c9bef1ebf77726a92482d552e7b782d26",
+        "7d0926ee97e76c86de6cbff6c0b773d9daf341391c5a13cc36eed791f7213d99",
     ),
     # the interval's lower endpoint prints as 0.000000, no longer -0.000000
     "analyze-text-swapped": (
@@ -131,6 +137,27 @@ GOLDEN_STDOUT = {
     "verify": (
         ["verify", "--trials", "3", "--seed", "7", "--tau-step", "1e-3"],
         "351506f5f1c3741405757ced43cc51e9bf380b256b46abd71d44e40d0ec113df",
+    ),
+    # Budgets at or below 1e-12, where an edge of 1e-12 inverted the domain:
+    # analyze raised a bare "math domain error", region reported tau_dagger
+    # +9e-13 and curve printed every row at tau -9e-13. CI runs these three too.
+    "analyze-tiny-budgets": (
+        ["analyze", "--phi1", "1", "--phi2", "1", "--x1", "1e-14", "--x2", "1e-13", "--beta", "0.5", "--json"],
+        "87c3d0da2aa87a2822caa1c5fa7baa7f4166de12f59e890c2232693a3a6c7305",
+    ),
+    "region-tiny-budgets": (
+        [
+            "region", "--phi1", "1", "--phi2", "1", "--beta-list", "0.5", "--x1-min", "1e-14",
+            "--x1-max", "2e-14", "--x2-min", "1e-13", "--x2-max", "2e-13", "--resolution", "2",
+        ],
+        "1edd22a2e27321eac4a11774b5756fbd908bc1b60ab045ec293918ebb0497a4a",
+    ),
+    "curve-tiny-budgets": (
+        [
+            "curve", "--phi1", "1", "--phi2", "1", "--x1", "1e-13", "--x2", "1e-12", "--beta", "0.5",
+            "--tau-min=-1e-12", "--tau-max", "1e-13", "--steps", "3",
+        ],
+        "a2ccdda5271b0c6dfb678be309f6cd8818bf9de829c50d54ffdd880b01fcc6b6",
     ),
 }
 
@@ -226,19 +253,14 @@ class TestAnalyze:
         assert out == ""
         assert "phi2 must be finite" in err
 
-    @pytest.mark.parametrize(
-        "budgets, how",
-        [
-            (["--x1", "1e300", "--x2", "1e-300"], "underflows to 0"),
-            (["--x1", "1e200", "--x2", "1e200"], "overflows"),
-        ],
-    )
-    def test_threshold_out_of_float_range_exits_2(self, capsys, budgets, how):
-        code, out, err = run_cli(
-            capsys, "analyze", "--phi1", "1e300", "--phi2", "1e-300", *budgets, "--beta", "0.5"
-        )
-        assert code == 2 and out == ""
-        assert err.count("\n") == 1 and f"phi1*x2**3 {how}" in err
+    # the threshold once divided by phi1*x2**3, which underflows to 0 at the first game and overflows at the second
+    @pytest.mark.parametrize("x1, x2", [("1e-120", "1e-110"), ("1e200", "1e200")], ids=["tiny-budgets", "huge-budgets"])
+    def test_former_threshold_range_errors_are_finite(self, capsys, x1, x2):
+        code, out, _ = run_cli(capsys, "analyze", "--phi1", "1", "--phi2", "1", "--x1", x1, "--x2", x2, "--beta", "0.5")
+        assert code == 0
+        threshold = json.loads(out)["transfer_analysis"]["mb_beta_threshold"]
+        exact = min(decimal_thresholds(1.0, 1.0, float(x1), float(x2))[0])
+        assert threshold == pytest.approx(float(exact), rel=1e-15)
 
     def test_seed_square_overflow_exits_2(self, capsys):
         code, out, err = run_cli(
@@ -395,14 +417,19 @@ class TestRegion:
         _, second, _ = run_cli(capsys, *flags)
         assert first == second
 
-    def test_threshold_out_of_float_range_exits_2(self, capsys):
-        code, out, err = run_cli(
+    def test_budgets_below_1e_100_match_analyze(self, capsys):
+        code, out, _ = run_cli(
             capsys, "region", "--phi1", "1", "--phi2", "1", "--beta-list", "0.5",
             "--x1-min", "1e-120", "--x1-max", "2e-120", "--x2-min", "1e-110",
             "--x2-max", "2e-110", "--resolution", "2",
         )
-        assert code == 2 and out == ""
-        assert err.count("\n") == 1 and "phi1*x2**3 underflows to 0" in err
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 4
+        for beta, x1, x2, in_frame, case, mb, tau in rows:
+            analysis = analyze(GameParams(1.0, 1.0, float(x1), float(x2)), float(beta))
+            assert in_frame == "1" and case == str(int(analysis.case_at_zero)) == "3"
+            assert mb == str(int(analysis.mb_exists)) and float(tau) == analysis.alliance_tau
 
     def test_seed_square_overflow_exits_2(self, capsys):
         code, out, err = run_cli(
@@ -413,7 +440,7 @@ class TestRegion:
         assert err.count("\n") == 1 and SEED_OVERFLOW in err
 
     def test_names_the_first_failing_cell_as_analyze_does(self, capsys):
-        # the cell at x2=1e+103 would overflow the threshold, but the first cell's march fails first
+        # the marches of both cells at x2 = 1 overflow; the error names the first
         code, out, err = run_cli(
             capsys, "region", "--phi1", "1e300", "--phi2", "1", "--beta-list", "0.5",
             "--x1-min", "1e200", "--x1-max", "2e200", "--x2-min", "1", "--x2-max", "1e103", "--resolution", "2",
@@ -465,13 +492,17 @@ class TestBetaSweep:
         values = [float(r[j]) for r in rows]
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
-    def test_threshold_out_of_float_range_exits_2(self, capsys):
-        code, out, err = run_cli(
-            capsys, "beta-sweep", "--phi1", "1e300", "--phi2", "1e-300", "--x1", "1e300",
-            "--x2", "1e-300", "--beta-min", "0.1", "--beta-max", "0.5", "--steps", "3",
+    def test_budgets_below_1e_100_run(self, capsys):
+        # a case-3 game with threshold 2R + x1/x2 = 2.00001e-05: every beta transfers, to mutual benefit
+        code, out, _ = run_cli(
+            capsys, "beta-sweep", "--phi1", "1", "--phi2", "1", "--x1", "1e-120",
+            "--x2", "1e-110", "--beta-min", "0.1", "--beta-max", "0.5", "--steps", "3",
         )
-        assert code == 2 and out == ""
-        assert err.count("\n") == 1 and "phi1*x2**3 underflows to 0" in err
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert len(rows) == 3
+        assert all(r[header.index("mb_exists")] == r[header.index("alliance_nonzero")] == "1" for r in rows)
+        assert all(float(r[header.index("max_u12")]) > float(r[header.index("u12_nominal")]) for r in rows)
 
     def test_seed_square_overflow_exits_2(self, capsys):
         code, out, err = run_cli(

@@ -277,21 +277,19 @@ class TestRegionRaster:
         )
         assert reprs(region_raster(grid)) == reprs(scalar_region_raster(grid))
 
-    def test_threshold_out_of_float_range(self):
-        # x2**3 underflows to 0 in every in-frame cell
+    def test_budgets_below_1e_100_match_the_point_path(self):
+        # every in-frame cell is a case-3 game whose threshold, 2R + x1/x2, is near 2e-5
         grid = SweepGrid(
             axes=(Axis("x1", 1e-120, 2e-120, 2), Axis("x2", 1e-110, 2e-110, 2)),
             fixed={"phi1": 1.0, "phi2": 1.0},
             beta_list=(0.5,),
         )
-        with pytest.raises(ValueError, match="underflows to 0") as array:
-            region_raster(grid)
-        with pytest.raises(ValueError) as scalar:
-            te._mb_threshold_f(1.0, 1.0, 1e-120, 1e-110)
-        assert str(array.value) == str(scalar.value)
+        cells = region_raster(grid)
+        assert reprs(cells) == reprs(scalar_region_raster(grid))
+        assert all(c.in_frame and c.case_label == 3 and c.mb_exists and c.tau_dagger < 0.0 for c in cells)
 
     def test_first_failing_cell_is_the_point_paths(self):
-        # the first cell's march overflows; a later cell's threshold overflows as well
+        # the marches of both cells at x2 = 1 overflow; the error names the first
         grid = SweepGrid(
             axes=(Axis("x1", 1e200, 2e200, 2), Axis("x2", 1.0, 1e103, 2)),
             fixed={"phi1": 1e300, "phi2": 1.0},

@@ -1,6 +1,7 @@
 """Transfer mechanics, mutual-benefit analysis, and the alliance optimum."""
 
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from blotto_alliance.adversary_response import (
     _orient_vec,
     _payoffs_any_f,
     _payoffs_f,
+    _response_f,
     mirror,
     normalize,
 )
@@ -42,6 +44,7 @@ from support import (
     CASE4_GAME,
     G1,
     decimal_gains,
+    decimal_thresholds,
     log_uniform,
     oriented_params,
     random_oriented_game,
@@ -239,12 +242,22 @@ class TestSharedRules:
         assert (~got & (u + v < 1.0) & (phi2 * u == phi1 * v)).any()
 
     def test_tau_bounds_over_arrays(self, rng):
-        x1, x2 = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=(2, 4000)))
+        x1, x2 = np.exp(rng.uniform(math.log(1e-20), math.log(1e6), size=(2, 4000)))
         x1[:3], x2[:3] = [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)], 1.0
-        lo, hi = te._tau_bounds(x1, x2, np.maximum)
+        x1[3:6], x2[3:6] = [1e-6, np.nextafter(1e-6, 0.0), np.nextafter(1e-6, 1.0)], 1e-6
+        lo, hi = te._tau_bounds(x1, x2, np.maximum, np.minimum)
         scalar = [te._tau_bounds(a, b) for a, b in zip(x1.tolist(), x2.tolist())]
         assert_bits_equal(lo, [v for v, _ in scalar])
         assert_bits_equal(hi, [v for _, v in scalar])
+
+    def test_tau_bounds_stay_inside_the_domain(self):
+        # an edge of max(1e-12, 1e-12*x) reaches past any budget at or below 1e-12
+        x = np.array([1e-300, 1e-14, 1e-12, 1e-9, 1e-6, 0.5, 1.0, 1e6, 1e300])
+        lo, hi = te._tau_bounds(x, x, np.maximum, np.minimum)
+        assert ((-x < lo) & (lo < 0.0) & (0.0 < hi) & (hi < x)).all()
+        # and is kept from a budget of 1e-6 up
+        kept = x >= 1e-6
+        assert_bits_equal(hi[kept], x[kept] - np.maximum(1e-12, 1e-12 * x[kept]))
 
 
 class TestMutualBenefitInterval:
@@ -650,8 +663,43 @@ class TestScansMatchScalar:
                 assert_curve_matches_scalar(game, beta, 201)
 
 
+def tiny_budget_games():
+    """300 games with all five parameters log-uniform in [1e-20, 1e20]; over a third have a normalized budget <= 1e-12."""
+    params = np.exp(np.random.default_rng(4).uniform(math.log(1e-20), math.log(1e20), size=(300, 5)))
+    return [GameParams(*p) for p in params.tolist()]
+
+
 class TestMarchExtremes:
     """The alliance march on extreme budget ratios, where it once raised or stopped short."""
+
+    def test_budgets_at_or_below_1e_12_stay_inside_the_domain(self):
+        games = tiny_budget_games()
+        assert sum(min(normalize(g)[0].x1, normalize(g)[0].x2) <= 1e-12 for g in games) > 100
+        for g in games:
+            for beta in DEFAULT_VERIFY_BETAS:
+                assert -g.x2 < analyze(g, beta).alliance_tau < g.x1
+
+    def test_tiny_budgets_are_not_beaten_by_a_grid_transfer(self):
+        # the march's edge can lie 1e-12 of the adversary's budget inside the grid's,
+        # which reads its edges on the raw budgets; what the grid gains there stays below the bound
+        for g in tiny_budget_games()[:100]:
+            grid = te._even_grid(*te._tau_bounds(g.x1, g.x2), 2001)
+            for beta in DEFAULT_VERIFY_BETAS:
+                u1, u2 = te._induced_payoffs_vec(g, grid, beta)
+                best = sum(te._induced_payoffs(g, alliance_optimal(g, beta)[0], beta))
+                assert np.max(u1 + u2) - best <= 5e-13 * (g.phi1 + g.phi2)
+
+    def test_flipped_case_2_ratio_when_phi2_k_squared_underflows(self):
+        # phi2*K*K underflows to 0 in this game, K = x1 + beta*x2
+        g = GameParams(
+            5.069249472840368e110, 3.1679988813176167e-149, 4.7001122150468385e-148,
+            1.4187502486085081e-130, 1.2553453651880894e-31,
+        )
+        for beta in (0.1, 0.5, 1.0):
+            tau, gain = alliance_optimal(g, beta)
+            assert -g.x2 < tau < 0.0 and gain > 0.0
+        gn = normalize(g)[0]
+        assert assert_analysis_matches_point_path(gn.phi1, gn.phi2, gn.x1, gn.x2, [0.1, 0.5, 1.0]) is None
 
     def test_tiny_budgets_reach_an_optimum(self):
         g = GameParams(430.68339991383306, 2.595334120745248e-05, 1.2505347403904855e-06, 1.1153075458945495e-05)
@@ -791,21 +839,40 @@ class TestArrayMarch:
             te._analyze_vec(G1.phi1, G1.phi2, G1.x1, G1.x2, [0.05, 0.1])
 
 
-class TestThresholdRange:
-    """The mutual-benefit threshold rejects games whose phi1*x2**3 leaves the float range."""
+def assert_thresholds_match_the_reference(phi1, phi2, x1, x2):
+    """Each branch of both thresholds is finite and within 1e-15 of |t| + x1/x2 of the 60-digit reference."""
+    ratio = decimal.Decimal(x1) / decimal.Decimal(x2)
+    got = [t for branches in te._threshold_branches(phi1, phi2, x1, x2) for t in branches]
+    want = [t for branches in decimal_thresholds(phi1, phi2, x1, x2) for t in branches]
+    for actual, exact in zip(got, want):
+        assert math.isfinite(actual)
+        assert abs(decimal.Decimal(actual) - exact) <= decimal.Decimal("1e-15") * (abs(exact) + ratio)
 
-    @pytest.mark.parametrize(
-        "params, how",
-        [((1e300, 1e-300, 1e300, 1e-300), "underflows to 0"), ((1.0, 1.0, 1e200, 1e200), "overflows")],
-    )
-    def test_scalar_and_array_raise_the_same_error(self, params, how):
-        with pytest.raises(ValueError, match=how) as scalar:
-            te._mb_threshold_f(*params)
+
+class TestThresholdRange:
+    """Both thresholds come from R = sqrt(phi2/phi1 * x1/x2) and need no float-range error."""
+
+    # phi1*x2**3, which the threshold once divided by, underflows to 0 in the
+    # first two games and overflows in the third
+    FORMER_RANGE_ERRORS = [(1.0, 1.0, 1e-120, 1e-110), (1e-250, 1e-251, 1e-31, 1e-30), (1.0, 1.0, 1e200, 1e200)]
+
+    @pytest.mark.parametrize("params", FORMER_RANGE_ERRORS, ids=["tiny-budgets", "tiny-valuations", "huge-budgets"])
+    def test_former_range_errors_are_finite(self, params):
+        assert_thresholds_match_the_reference(*params)
+        assert math.isfinite(analyze(GameParams(*params), 0.5).mb_beta_threshold)
         phi1, phi2, x1, x2 = params
-        error = assert_analysis_matches_point_path(phi1, phi2, np.array([1.0, x1]), np.array([1.0, x2]), 0.5)
-        assert str(error) == str(scalar.value)
-        with pytest.raises(ValueError, match=how):
-            analyze(GameParams(*params), 0.5)
+        assert assert_analysis_matches_point_path(phi1, phi2, np.array([1.0, x1]), np.array([1.0, x2]), 0.5) is None
+
+    def test_thresholds_match_the_reference_over_the_float_range(self, rng):
+        params = np.exp(rng.uniform(math.log(1e-150), math.log(1e150), size=(2000, 4)))
+        games = [g for g in map(oriented, *params.T.tolist()) if _response_f(*g)[0] in (2, 3)]
+        assert len(games) > 500
+        for game in games:
+            assert_thresholds_match_the_reference(*game)
+        # the array branches, as _analyze_vec takes them, equal the scalar ones bit for bit
+        scalar = [[*mutual, *alliance] for mutual, alliance in (te._threshold_branches(*g) for g in games)]
+        mutual, alliance = te._threshold_branches(*np.array(games).T, np.sqrt)
+        assert_bits_equal(np.column_stack([*mutual, *alliance]), scalar)
 
     def test_array_threshold_matches_scalar(self, rng):
         params = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=(2000, 4)))
@@ -818,7 +885,7 @@ class TestThresholdRange:
 class TestSeedRange:
     """The alliance march rejects games whose seed squares (1 - x)**2 overflow."""
 
-    OVERFLOW = (1e300, 1.0, 1e200, 1.0)  # (1 - x1)**2 overflows; phi1*x2**3 does not
+    OVERFLOW = (1e300, 1.0, 1e200, 1.0)  # (1 - x1)**2 overflows
 
     def test_scalar_and_array_raise_the_same_error(self):
         with pytest.raises(ValueError, match=r"\(1 - x1\)\*\*2 or \(1 - x2\)\*\*2 overflows") as scalar:
@@ -827,9 +894,9 @@ class TestSeedRange:
         phi1, phi2, x1, x2 = self.OVERFLOW
         error = assert_analysis_matches_point_path(phi1, phi2, [0.5, x1], x2, 0.5)
         assert str(error) == str(scalar.value)
-        # (1 - x2)**2 overflows only where phi1*x2**3 does, so the threshold's error comes first
+        # and (1 - x2)**2 at x2 = 1e200, after a finite threshold
         error = assert_analysis_matches_point_path(1.0, 1e-300, 1.0, [1.5, 1e200], 0.5)
-        assert "phi1*x2**3 overflows" in str(error)
+        assert "(x1=1.0, x2=1e+200 against a unit adversary)" in str(error)
         with pytest.raises(ValueError, match="overflows"):
             analyze(GameParams(*self.OVERFLOW), 0.5)
 
@@ -855,3 +922,4 @@ class TestSeedRange:
             te._analyze_vec(*games.T, 0.1)
         with pytest.raises(ValueError, match="overflows"):
             te._analyze_vec(*games[::-1].T, 0.1)
+
