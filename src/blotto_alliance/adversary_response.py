@@ -8,7 +8,7 @@ the two fronts falls into one of four regimes:
 
   case 1: phi2/phi1 != x2/x1 and phi2/phi1 <= x1*x2      -> all-in on front 1
   case 2: 0 < 1 - sqrt(phi1*x1*x2/phi2) <= x2            -> sqrt(phi1*x1*x2/phi2) on front 1
-  case 3: 1 - sqrt(phi1*x1*x2/phi2) > x2                 -> sqrt(phi1*x1)/(sqrt(phi1*x1)+sqrt(phi2*x2))
+  case 3: 1 - sqrt(phi1*x1*x2/phi2) > x2                 -> 1/(1 + sqrt(phi2/phi1 * x2/x1))
   case 4: phi2/phi1 == x2/x1 and x1 + x2 >= 1            -> indifferent among splits with x_a_i <= x_i
 
 The adversary always exhausts its budget. In case 4 its payoff is constant
@@ -113,9 +113,8 @@ def _response_f(phi1: float, phi2: float, x1: float, x2: float) -> tuple[int, fl
     q = math.sqrt(phi1 * x1 * x2 / phi2)
     if 1.0 - q <= x2:
         return 2, q
-    s1 = math.sqrt(phi1 * x1)
-    s2 = math.sqrt(phi2 * x2)
-    return 3, s1 / (s1 + s2)
+    # sqrt(phi1*x1)/(sqrt(phi1*x1) + sqrt(phi2*x2)) as a ratio, so no product underflows
+    return 3, 1.0 / (1.0 + math.sqrt(phi2 / phi1 * (x2 / x1)))
 
 
 def _payoffs_f(phi1: float, phi2: float, x1: float, x2: float) -> tuple[float, float]:
@@ -170,10 +169,8 @@ def _payoffs_vec(phi1, phi2, x1: np.ndarray, x2: np.ndarray):
     """
     flipped, p1, p2, y1, y2 = _orient_vec(phi1, phi2, x1, x2)
     total = x1 + x2
-    r1 = p1 * y1
-    q = np.sqrt(r1 * y2 / p2)
-    s1, s2 = np.sqrt(r1), np.sqrt(p2 * y2)
-    a = np.where(1.0 - q <= y2, q, s1 / (s1 + s2))  # case 2 or 3
+    q = np.sqrt(p1 * y1 * y2 / p2)
+    a = np.where(1.0 - q <= y2, q, 1.0 / (1.0 + np.sqrt(p2 / p1 * (y2 / y1))))  # case 2 or 3
     a = np.where(
         _proportional(phi2 * x1, phi1 * x2, np.maximum),
         np.where(total >= 1.0, y1 / total, a),  # case 4, or a proportional game off it

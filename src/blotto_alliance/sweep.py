@@ -36,10 +36,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from blotto_alliance.adversary_response import PROPORTIONAL_RTOL, Case, GameParams
+from blotto_alliance.adversary_response import Case, GameParams
 from blotto_alliance.transfer_engine import (
     _alliance_optimal_f,
     _analyze_vec,
+    _band_edges,
     _check_beta,
     _crossing_equations,
     _even_grid,
@@ -164,10 +165,12 @@ def payoff_curves(
         raise ValueError("tau range must satisfy lo < hi")
     if lo < -g.x2 or hi > g.x1:
         raise ValueError(f"tau range must lie within (-{g.x2}, {g.x1})")
-    u1_base, u2_base = _induced_payoffs(g, 0.0, beta)
-    eps_lo, eps_hi = _tau_bounds(g.x1, g.x2)
-    taus = np.minimum(np.maximum(taus, eps_lo), eps_hi)
-    u1, u2 = _induced_payoffs_vec(g, taus, beta)
+    xa = g.adversary_budget
+    game = g.phi1, g.phi2, g.x1 / xa, g.x2 / xa
+    u1_base, u2_base = _induced_payoffs(*game, 0.0, beta)
+    eps_lo, eps_hi = _tau_bounds(*game[2:])
+    taus = np.minimum(np.maximum(taus, xa * eps_lo), xa * eps_hi)
+    u1, u2 = _induced_payoffs_vec(*game, taus / xa, beta)
     return np.column_stack((taus, u1 - u1_base, u2 - u2_base, u1 + u2))
 
 
@@ -203,10 +206,6 @@ def _donation_candidates(phi_r, phi_d, u_r, u_d, x_r, x_d, betas, t_top):
     roots that do not exist, read 0.0.
     """
     linear, quadratics = _seed_polynomials(phi_r, phi_d, x_r, x_d, betas, np.float_power)
-    ratio = phi_d / phi_r
-    s_r = np.array([[1.0], [1.0 - PROPORTIONAL_RTOL]])
-    s_d = s_r[::-1]
-    band = (s_r * x_d - s_d * ratio * x_r) / (s_d * ratio * betas + s_r)  # s_d*phi_d*p_r = s_r*phi_r*p_d
     # each player's budget p = p0 + p1*t against the other's q = q0 + q1*t
     for phi, phi_o, u0, p0, p1, q0, q1 in (
         (phi_r, phi_d, u_r, x_r, betas, x_d, -1.0),
@@ -230,7 +229,7 @@ def _donation_candidates(phi_r, phi_d, u_r, u_d, x_r, x_d, betas, t_top):
     # jump where case 1 meets case 3 on a tiny budget, so every edge is also read a step
     # to either side: 1e-12 of the edge, to clear its rounding, plus the step that moves
     # the budget ratio p_r/p_d by 1e-12, to clear the band's.
-    edges = np.vstack([linear, first[:4], second[:4], band])
+    edges = np.vstack([linear, first[:4], second[:4], *_band_edges(phi_r, phi_d, x_r, x_d, betas)])
     p_r, p_d = x_r + betas * edges, x_d - edges
     step = 1e-12 * (edges + p_r * p_d / (p_r + betas * p_d))
     t = np.vstack([edges, edges - step, edges + step, first[4:], second[4:]]).T
@@ -262,27 +261,27 @@ def beta_sweep(
     if not (0.0 < lo < hi <= 1.0):
         raise ValueError(f"beta range must satisfy 0 < lo < hi <= 1, got ({lo}, {hi})")
     betas = _even_grid(lo, hi, steps)
-    u1_nom, u2_nom = _induced_payoffs(g, 0.0, 1.0)
-    u12_nom = u1_nom + u2_nom
     xa = g.adversary_budget
+    game = g.phi1, g.phi2, g.x1 / xa, g.x2 / xa
+    x1, x2 = game[2:]
+    u1_nom, u2_nom = _induced_payoffs(*game, 0.0, 1.0)
+    u12_nom = u1_nom + u2_nom
     *oriented, swapped = _oriented_floats(g)
     exists = _mutual_benefit_f(*oriented, betas)[2].tolist()
     points = []
     for mb, beta in zip(exists, betas.tolist()):
-        _, tau_dag, gain = _alliance_optimal_f(*oriented, beta, swapped, xa)
-        points.append((mb, tau_dag, gain, *_induced_payoffs(g, tau_dag, beta)))
+        _, tau_dag, gain = _alliance_optimal_f(*oriented, beta, swapped, 1.0)
+        points.append((mb, tau_dag, gain, *_induced_payoffs(*game, tau_dag, beta)))
 
-    x1, x2 = g.x1 / xa, g.x2 / xa
-    tau_lo, tau_hi = _tau_bounds(g.x1, g.x2)
+    tau_lo, tau_hi = _tau_bounds(x1, x2)
     with np.errstate(all="ignore"):  # missing and overflowing roots read 0.0
-        by_2 = _donation_candidates(g.phi1, g.phi2, u1_nom, u2_nom, x1, x2, betas, -tau_lo / xa)
-        by_1 = _donation_candidates(g.phi2, g.phi1, u2_nom, u1_nom, x2, x1, betas, tau_hi / xa)
-    ends = np.broadcast_to([0.0, tau_lo, tau_hi], (steps, 3))
-    taus = np.hstack([ends, -xa * by_2, xa * by_1])
+        by_2 = _donation_candidates(g.phi1, g.phi2, u1_nom, u2_nom, x1, x2, betas, -tau_lo)
+        by_1 = _donation_candidates(g.phi2, g.phi1, u2_nom, u1_nom, x2, x1, betas, tau_hi)
+    taus = np.hstack([np.broadcast_to([0.0, tau_lo, tau_hi], (steps, 3)), -by_2, by_1])
     # a transfer of +-0.0 induces the game itself at any beta: only real candidates are evaluated
     real = taus != 0.0
     u1, u2 = np.full(taus.shape, u1_nom), np.full(taus.shape, u2_nom)
-    u1[real], u2[real] = _induced_payoffs_vec(g, taus[real], np.broadcast_to(betas[:, None], taus.shape)[real])
+    u1[real], u2[real] = _induced_payoffs_vec(*game, taus[real], np.broadcast_to(betas[:, None], taus.shape)[real])
     slack = 1e-12 * (g.phi1 + g.phi2)
     # (max_u1_mutual, max_u2_mutual, max_u1_any, max_u2_any) per row
     maxima = np.column_stack([

@@ -2,10 +2,12 @@
 
 A transfer tau in (-x2, x1) moves budget between the players before the
 adversary responds; the recipient only receives a fraction beta in (0, 1] of
-what was sent. All analysis happens in the oriented frame
-(phi2/phi1 <= x2/x1), where the only candidate direction is player 2
-donating to player 1 (tau < 0); mirrored games are handled by swapping
-indices on entry and negating transfer signs on exit.
+what was sent. Payoffs read budgets only against the adversary's, so each
+public function divides x1, x2 and tau by it once and works in its units.
+All analysis happens in the oriented frame (phi2/phi1 <= x2/x1), where the
+only candidate direction is player 2 donating to player 1 (tau < 0);
+mirrored games are handled by swapping indices on entry and negating
+transfer signs on exit.
 
 Closed forms implemented here:
 
@@ -166,29 +168,27 @@ def _even_grid(lo: float, hi: float, steps: int) -> np.ndarray:
         return np.minimum(lo + (hi - lo) * np.arange(steps) / (steps - 1), hi)
 
 
-def _induced_payoffs(g: GameParams, tau: float, beta: float) -> tuple[float, float]:
-    """Payoffs (u1, u2) of the game induced by a transfer, tau clamped to _tau_bounds."""
-    lo, hi = _tau_bounds(g.x1, g.x2)
-    x1_bar, x2_bar = _induced_budgets(g.x1, g.x2, min(max(tau, lo), hi), beta)
-    xa = g.adversary_budget
-    return _payoffs_any_f(g.phi1, g.phi2, x1_bar / xa, x2_bar / xa)
+def _induced_payoffs(phi1: float, phi2: float, x1: float, x2: float, tau: float, beta: float) -> tuple[float, float]:
+    """Payoffs (u1, u2) after a transfer tau in a unit-adversary game, tau clamped to _tau_bounds."""
+    lo, hi = _tau_bounds(x1, x2)
+    return _payoffs_any_f(phi1, phi2, *_induced_budgets(x1, x2, min(max(tau, lo), hi), beta))
 
 
-def _induced_payoffs_vec(g: GameParams, taus: np.ndarray, beta: float):
+def _induced_payoffs_vec(phi1: float, phi2: float, x1: float, x2: float, taus: np.ndarray, beta):
     """_induced_payoffs over an array of transfers, equal element for element."""
-    lo, hi = _tau_bounds(g.x1, g.x2)
+    lo, hi = _tau_bounds(x1, x2)
     taus = np.minimum(np.maximum(taus, lo), hi)
-    x1_bar = np.where(taus > 0.0, g.x1 - taus, g.x1 + beta * -taus)
-    x2_bar = np.where(taus > 0.0, g.x2 + beta * taus, g.x2 - -taus)
-    xa = g.adversary_budget
-    return _payoffs_vec(g.phi1, g.phi2, x1_bar / xa, x2_bar / xa)
+    x1_bar = np.where(taus > 0.0, x1 - taus, x1 + beta * -taus)
+    x2_bar = np.where(taus > 0.0, x2 + beta * taus, x2 - -taus)
+    return _payoffs_vec(phi1, phi2, x1_bar, x2_bar)
 
 
 def payoffs_at(g: GameParams, t: Transfer) -> PayoffProfile:
     """Equilibrium payoffs of the game induced by the transfer, caller's frame."""
     if not (-g.x2 < t.tau < g.x1):
         raise ValueError(f"tau must lie in (-{g.x2}, {g.x1}), got {t.tau}")
-    u1, u2 = _induced_payoffs(g, t.tau, t.beta)
+    xa = g.adversary_budget
+    u1, u2 = _induced_payoffs(g.phi1, g.phi2, g.x1 / xa, g.x2 / xa, t.tau / xa, t.beta)
     return PayoffProfile(u1=u1, u2=u2, u_adversary=g.phi1 + g.phi2 - u1 - u2)
 
 
@@ -358,6 +358,12 @@ def _boundary_seeds(
     for a, b, c in quadratics:
         seeds += _quadratic_roots(a, b, c)
     return [t for t in seeds if 0.0 < t < t_top]
+
+
+def _band_edges(phi1, phi2, x1, x2, beta):
+    """The donations t where s2*phi2*(x1 + beta*t) = s1*phi1*(x2 - t) at the band's edges (s1, s2); floats or arrays."""
+    r, s = phi2 / phi1, 1.0 - PROPORTIONAL_RTOL
+    return [(s1 * x2 - s2 * r * x1) / (s2 * r * beta + s1) for s1, s2 in ((1.0, s), (s, 1.0))]
 
 
 def _segment_label(phi1: float, phi2: float, x1: float, x2: float, beta: float, t: float) -> tuple[int, bool]:
@@ -576,11 +582,8 @@ def _mb_interval_oriented(
     equations = _crossing_equations(phi1, phi2, u1_base, x1, beta, x2, -1.0)
     equations += _crossing_equations(phi2, phi1, u2_base, x2, -1.0, x1, beta)
     t_top = -_tau_bounds(x1, x2)[0]
-    edges = _boundary_seeds(phi1, phi2, x1, x2, beta, t_top)
-    for s1, s2 in ((1.0, 1.0 - PROPORTIONAL_RTOL), (1.0 - PROPORTIONAL_RTOL, 1.0)):
-        t = (s1 * phi1 * x2 - s2 * phi2 * x1) / (s2 * phi2 * beta + s1 * phi1)  # s2*phi2*u = s1*phi1*v
-        edges += [t] if 0.0 < t < t_top else []
-    edges = [0.0, *sorted(edges), t_top]
+    band = [t for t in _band_edges(phi1, phi2, x1, x2, beta) if 0.0 < t < t_top]
+    edges = [0.0, *sorted(_boundary_seeds(phi1, phi2, x1, x2, beta, t_top) + band), t_top]
     cuts = edges.copy()
     for t_a, t_b in zip(edges, edges[1:]):
         case = _segment_label(phi1, phi2, x1, x2, beta, 0.5 * (t_a + t_b))[0]
@@ -655,9 +658,9 @@ def mutual_margin(g: GameParams, beta: float) -> float:
     certify mutual benefit when this margin clears its discretization slack.
     """
     _check_beta(beta)
-    gn, _ = normalize(g)
-    u1_base, u2_base = _induced_payoffs(gn, 0.0, beta)
-    u1, u2 = _induced_payoffs_vec(gn, _even_grid(*_tau_bounds(gn.x1, gn.x2), _DOMAIN_POINTS), beta)
+    game = _oriented_floats(g)[:4]
+    u1_base, u2_base = _induced_payoffs(*game, 0.0, beta)
+    u1, u2 = _induced_payoffs_vec(*game, _even_grid(*_tau_bounds(*game[2:]), _DOMAIN_POINTS), beta)
     return float(np.max(np.minimum(u1 - u1_base, u2 - u2_base)))
 
 

@@ -20,6 +20,12 @@ CASE3_GAME = GameParams(2.0, 0.5, 0.05, 0.5)
 CASE4_GAME = GameParams(1.0, 2.0, 0.5, 1.0)
 
 
+def unit_game(g: GameParams) -> tuple[float, float, float, float]:
+    """(phi1, phi2, x1, x2) of a game with its budgets in the adversary's units."""
+    xa = g.adversary_budget
+    return g.phi1, g.phi2, g.x1 / xa, g.x2 / xa
+
+
 def oriented_params(rng: np.random.Generator, lo: float = 0.05, hi: float = 5.0):
     """Log-uniform positive parameters, swapped into the oriented frame."""
     phi1, phi2, x1, x2 = np.exp(rng.uniform(math.log(lo), math.log(hi), size=4))
@@ -71,8 +77,8 @@ def _decimal_lotto(x, a, phi):
     return phi * (1 - a / (2 * x))
 
 
-def decimal_payoffs(phi1, phi2, x1, x2):
-    """Player payoffs (u1, u2) of a unit-adversary game, in either orientation, as 60-digit Decimals.
+def decimal_split(phi1, phi2, x1, x2):
+    """The adversary's split to front 1 in a unit-adversary game, in either orientation, as a 60-digit Decimal.
 
     Float arguments are taken at their exact values; Decimal arguments as given.
     A split at which G ties the least value exactly, where G is flat because
@@ -92,19 +98,36 @@ def decimal_payoffs(phi1, phi2, x1, x2):
             q / c,  # player 2 strong
         ]
         splits = [min(max(a, decimal.Decimal(0)), decimal.Decimal(1)) for a in candidates]
-        a = min(splits, key=lambda a: _decimal_lotto(x1, a, phi1) + _decimal_lotto(x2, 1 - a, phi2))
+        return min(splits, key=lambda a: _decimal_lotto(x1, a, phi1) + _decimal_lotto(x2, 1 - a, phi2))
+
+
+def decimal_payoffs(phi1, phi2, x1, x2, proportional=False):
+    """Player payoffs (u1, u2) of a unit-adversary game at decimal_split's split, as 60-digit Decimals.
+
+    proportional=True takes the proportional split x1/(x1 + x2) instead, the case-4
+    convention, which the library also takes inside its band around the proportional ray.
+    """
+    with decimal.localcontext(DECIMAL_CONTEXT):
+        phi1, phi2, x1, x2 = (decimal.Decimal(v) for v in (phi1, phi2, x1, x2))
+        a = x1 / (x1 + x2) if proportional else decimal_split(phi1, phi2, x1, x2)
         return _decimal_lotto(x1, a, phi1), _decimal_lotto(x2, 1 - a, phi2)
 
 
-def decimal_gains(phi1, phi2, x1, x2, tau, beta):
-    """(du1, du2) of the transfer tau at efficiency beta in a unit-adversary game, as 60-digit Decimals.
+def decimal_induced_payoffs(phi1, phi2, x1, x2, tau, beta, proportional=False):
+    """(u1, u2) after the transfer tau at efficiency beta in a unit-adversary game, as 60-digit Decimals.
 
     The induced budgets are exact: the receiver gains beta*|tau|, the donor loses |tau|.
     """
     with decimal.localcontext(DECIMAL_CONTEXT):
         x1d, x2d, t, b = (decimal.Decimal(v) for v in (x1, x2, tau, beta))
         y1, y2 = (x1d - t, x2d + b * t) if tau > 0.0 else (x1d - b * t, x2d + t)
-        u1, u2 = decimal_payoffs(phi1, phi2, y1, y2)
+        return decimal_payoffs(phi1, phi2, y1, y2, proportional)
+
+
+def decimal_gains(phi1, phi2, x1, x2, tau, beta):
+    """(du1, du2) of the transfer tau at efficiency beta in a unit-adversary game, as 60-digit Decimals."""
+    with decimal.localcontext(DECIMAL_CONTEXT):
+        u1, u2 = decimal_induced_payoffs(phi1, phi2, x1, x2, tau, beta)
         v1, v2 = decimal_payoffs(phi1, phi2, x1, x2)
         return u1 - v1, u2 - v2
 

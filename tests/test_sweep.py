@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blotto_alliance import sweep, transfer_engine as te
 from blotto_alliance.adversary_response import Case, GameParams, mirror
@@ -18,12 +18,14 @@ from blotto_alliance.sweep import (
     payoff_curves,
     region_raster,
 )
-from support import CASE1_GAME, CASE3_GAME, CASE4_GAME, G1
+from support import CASE1_GAME, CASE3_GAME, CASE4_GAME, G1, decimal_induced_payoffs, decimal_payoffs, unit_game
 
 SWEEP_GAMES = [G1, mirror(G1), GameParams(1.0, 1.2, 1.5, 4.5, 3.0), CASE1_GAME, CASE3_GAME, CASE4_GAME]
 SWEEP_IDS = ["G1", "G1-mirrored", "G1-xa-3", "case-1", "case-3", "case-4"]
 # Hypothesis draws of one positive parameter, log-uniform over six decades.
 wide = st.floats(min_value=math.log(1e-3), max_value=math.log(1e3)).map(math.exp)
+# A maximum is a real payoff when the 60-digit payoff of its transfer agrees this closely, relative to phi1 + phi2.
+ATTAINED = 4 * 2.0**-52
 # Hypothesis draws of a valuation or valuation ratio, log-uniform in [0.05, 20].
 ratio = st.floats(min_value=math.log(0.05), max_value=math.log(20.0)).map(math.exp)
 
@@ -52,14 +54,20 @@ def scalar_region_raster(grid):
 
 
 def scalar_beta_sweep(g, beta_range, steps):
-    """beta_sweep's columns other than the four maxima, one row at a time through the point path."""
+    """beta_sweep's columns other than the four maxima, one row at a time through the point path.
+
+    Payoffs are read on the unit-adversary game, at the alliance transfer in the adversary's units.
+    """
     lo, hi = beta_range
-    u1_nom, u2_nom = te._induced_payoffs(g, 0.0, 1.0)
+    game = unit_game(g)
+    *oriented, swapped = te._oriented_floats(g)
+    u1_nom, u2_nom = te._induced_payoffs(*game, 0.0, 1.0)
     rows = []
     for i in range(steps):
         beta = min(lo + (hi - lo) * i / (steps - 1), hi)
-        tau_dag, gain = te.alliance_optimal(g, beta)
-        u1_dag, u2_dag = te._induced_payoffs(g, tau_dag, beta)
+        _, tau_dag, gain = te._alliance_optimal_f(*oriented, beta, swapped, 1.0)
+        assert (tau_dag * g.adversary_budget, gain) == te.alliance_optimal(g, beta)
+        u1_dag, u2_dag = te._induced_payoffs(*game, tau_dag, beta)
         rows.append(
             (beta, u1_nom, u2_nom, u1_nom + u2_nom, u1_nom + u2_nom + gain,
              u1_dag, u2_dag, te.mb_exists(g, beta), tau_dag != 0.0)
@@ -70,59 +78,67 @@ def scalar_beta_sweep(g, beta_range, steps):
 MAXIMA = ("max_u1_mutual", "max_u2_mutual", "max_u1_any", "max_u2_any")
 
 
-def grid_maxima(g, beta, taus, relax=(0.0, 0.0)):
-    """The four maxima over a grid of transfers; the mutual ones where the other player loses at most relax."""
-    u1_nom, u2_nom = te._induced_payoffs(g, 0.0, 1.0)
-    u1, u2 = te._induced_payoffs_vec(g, taus, beta)
+def grid_maxima(game, beta, taus):
+    """The four maxima over a grid of unit-adversary transfers; the mutual ones where the other player does not lose."""
+    u1_nom, u2_nom = te._induced_payoffs(*game, 0.0, 1.0)
+    u1, u2 = te._induced_payoffs_vec(*game, taus, beta)
     return np.array([
-        np.max(u1, where=u2 >= u2_nom - relax[1], initial=-math.inf),
-        np.max(u2, where=u1 >= u1_nom - relax[0], initial=-math.inf),
+        np.max(u1, where=u2 >= u2_nom, initial=-math.inf),
+        np.max(u2, where=u1 >= u1_nom, initial=-math.inf),
         np.max(u1),
         np.max(u2),
     ])
 
 
-def assert_maxima_bracketed(g, beta_range, steps):
-    """Each maximum lies between two grid readings of the same quantity.
-
-    Below: the 2,002-point reference grid (the domain grid and 0), whose mutual
-    columns take the other player's constraint without slack, less
-    1e-12*(phi1 + phi2). Above: a 20,001-point grid plus its largest one-step
-    change of the player's payoff, the mutual constraint relaxed by the other
-    player's largest one-step change and the sweep's slack.
-    """
-    scale = g.phi1 + g.phi2
-    lo, hi = te._tau_bounds(g.x1, g.x2)
-    reference = np.append(te._even_grid(lo, hi, te._DOMAIN_POINTS), 0.0)
-    fine = lo + (hi - lo) * np.arange(20001) / 20000
-    for row in beta_sweep(g, beta_range, steps):
-        got = np.array([getattr(row, name) for name in MAXIMA])
-        u1, u2 = te._induced_payoffs_vec(g, fine, row.beta)
-        step = np.array([np.max(np.abs(np.diff(u))) for u in (u1, u2)])
-        below = grid_maxima(g, row.beta, reference) - 1e-12 * scale
-        above = grid_maxima(g, row.beta, fine, 1e-12 * scale + step) + np.tile(step, 2)
-        assert np.all(below <= got), (g, row.beta, dict(zip(MAXIMA, got - below)))
-        assert np.all(got <= above), (g, row.beta, dict(zip(MAXIMA, got - above)))
-
-
 def restated_maxima(g, beta_range, steps):
-    """beta_sweep's four maxima from every candidate column, each 0.0 placeholder evaluated too."""
+    """beta_sweep's four maxima from every candidate column, each 0.0 placeholder evaluated too.
+
+    Returns the maxima, one row per beta, and the unit-adversary transfer that attains each.
+    """
     betas = te._even_grid(*beta_range, steps)
-    u1_nom, u2_nom = te._induced_payoffs(g, 0.0, 1.0)
-    xa = g.adversary_budget
-    lo, hi = te._tau_bounds(g.x1, g.x2)
+    game = unit_game(g)
+    x1, x2 = game[2:]
+    u1_nom, u2_nom = te._induced_payoffs(*game, 0.0, 1.0)
+    lo, hi = te._tau_bounds(x1, x2)
     with np.errstate(all="ignore"):
-        by_2 = sweep._donation_candidates(g.phi1, g.phi2, u1_nom, u2_nom, g.x1 / xa, g.x2 / xa, betas, -lo / xa)
-        by_1 = sweep._donation_candidates(g.phi2, g.phi1, u2_nom, u1_nom, g.x2 / xa, g.x1 / xa, betas, hi / xa)
-    taus = np.hstack([np.broadcast_to([0.0, lo, hi], (steps, 3)), -xa * by_2, xa * by_1])
-    u1, u2 = te._induced_payoffs_vec(g, taus, betas[:, None])
+        by_2 = sweep._donation_candidates(g.phi1, g.phi2, u1_nom, u2_nom, x1, x2, betas, -lo)
+        by_1 = sweep._donation_candidates(g.phi2, g.phi1, u2_nom, u1_nom, x2, x1, betas, hi)
+    taus = np.hstack([np.broadcast_to([0.0, lo, hi], (steps, 3)), -by_2, by_1])
+    u1, u2 = te._induced_payoffs_vec(*game, taus, betas[:, None])
     slack = 1e-12 * (g.phi1 + g.phi2)
-    return np.column_stack([
-        np.max(u1, axis=1, where=u2 >= u2_nom - slack, initial=-math.inf),
-        np.max(u2, axis=1, where=u1 >= u1_nom - slack, initial=-math.inf),
-        np.max(u1, axis=1),
-        np.max(u2, axis=1),
-    ])
+    candidates = [np.where(u2 >= u2_nom - slack, u1, -math.inf), np.where(u1 >= u1_nom - slack, u2, -math.inf), u1, u2]
+    at = np.column_stack([np.argmax(u, axis=1) for u in candidates])
+    maxima = np.column_stack([np.max(u, axis=1) for u in candidates])
+    return maxima, np.take_along_axis(taus, at, axis=1)
+
+
+def assert_maxima_bracketed(g, beta_range, steps):
+    """Each maximum is a real payoff, and no transfer of the reference grid beats it.
+
+    Attained: at the candidate transfer that gives a maximum, the 60-digit payoff agrees with
+    it within ATTAINED*(phi1 + phi2), and a mutual maximum's transfer keeps the other player
+    above their 60-digit no-transfer payoff, less the sweep's slack and the same rounding. The
+    reference takes the proportional split wherever the library's band puts the budgets in case 4.
+    Not beaten: the 2,002-point reference grid (the domain grid and 0), whose mutual columns
+    take the other player's constraint without slack, reads at most 1e-12*(phi1 + phi2) more.
+    """
+    game = unit_game(g)
+    scale = g.phi1 + g.phi2
+    reference = np.append(te._even_grid(*te._tau_bounds(*game[2:]), te._DOMAIN_POINTS), 0.0)
+    nominal = decimal_payoffs(*game, te._in_case_4(*game))
+    _, taus = restated_maxima(g, beta_range, steps)
+    for row, at in zip(beta_sweep(g, beta_range, steps), taus.tolist()):
+        got = np.array([getattr(row, name) for name in MAXIMA])
+        below = grid_maxima(game, row.beta, reference) - 1e-12 * scale
+        assert np.all(below <= got), (g, row.beta, dict(zip(MAXIMA, got - below)))
+        for k, (name, value, tau) in enumerate(zip(MAXIMA, got.tolist(), at)):
+            band = te._in_case_4(*game[:2], *te._induced_budgets(*game[2:], tau, row.beta))
+            exact = decimal_induced_payoffs(*game, tau, row.beta, band)
+            player = k % 2
+            assert abs(float(exact[player]) - value) <= ATTAINED * scale, (g, row.beta, name, tau)
+            if k < 2:
+                other = 1 - player
+                assert float(exact[other] - nominal[other]) >= -(1e-12 + ATTAINED) * scale, (g, row.beta, name, tau)
 
 
 def reprs(records):
@@ -423,7 +439,7 @@ class TestBetaSweep:
         # the sweep evaluates only real candidates and fills the rest with the nominal payoffs
         rows = beta_sweep(game, (0.05, 1.0), steps)
         got = np.array([[getattr(row, name) for name in MAXIMA] for row in rows])
-        assert got.tobytes() == restated_maxima(game, (0.05, 1.0), steps).tobytes()
+        assert got.tobytes() == restated_maxima(game, (0.05, 1.0), steps)[0].tobytes()
 
     @pytest.mark.parametrize("game", SWEEP_GAMES, ids=SWEEP_IDS)
     def test_maxima_lie_between_grid_readings(self, game):
@@ -432,6 +448,10 @@ class TestBetaSweep:
 
     @settings(max_examples=60, deadline=None)
     @given(wide, wide, wide, wide, wide)
+    # max_u2_any is a real payoff on a spike past a jump near tau = 54.596, narrower than one
+    # step of a 20,001-point grid, so a bracket of that grid's maximum plus its largest
+    # one-step change once read below it
+    @example(math.exp(-3), math.exp(4), math.exp(4), math.exp(-6.5), math.e)
     def test_maxima_lie_between_grid_readings_over_a_wide_box(self, phi1, phi2, x1, x2, xa):
         assert_maxima_bracketed(GameParams(phi1, phi2, x1, x2, xa), (0.05, 1.0), 4)
 

@@ -21,6 +21,7 @@ from blotto_alliance.adversary_response import (
     _response_f,
     mirror,
     normalize,
+    optimal_split,
 )
 from blotto_alliance.cli import DEFAULT_VERIFY_BETAS, FIXED_SEED_GAMES
 from blotto_alliance.sweep import Axis, SweepGrid, beta_sweep, payoff_curves, region_raster
@@ -44,10 +45,12 @@ from support import (
     CASE4_GAME,
     G1,
     decimal_gains,
+    decimal_split,
     decimal_thresholds,
     log_uniform,
     oriented_params,
     random_oriented_game,
+    unit_game,
 )
 
 # exact optima for G1 derived from the case-4 crossing of the donation path:
@@ -597,13 +600,13 @@ class TestCommonPhiScale:
 
 
 def scalar_margin(g, beta):
-    """mutual_margin one point at a time."""
-    gn, _ = normalize(g)
-    u1_base, u2_base = te._induced_payoffs(gn, 0.0, beta)
-    lo, hi = te._tau_bounds(gn.x1, gn.x2)
+    """mutual_margin one point at a time, on the oriented unit-adversary game."""
+    game = unit_game(normalize(g)[0])
+    u1_base, u2_base = te._induced_payoffs(*game, 0.0, beta)
+    lo, hi = te._tau_bounds(*game[2:])
     best = -math.inf
     for i in range(te._DOMAIN_POINTS):
-        u1, u2 = te._induced_payoffs(gn, lo + (hi - lo) * i / (te._DOMAIN_POINTS - 1), beta)
+        u1, u2 = te._induced_payoffs(*game, lo + (hi - lo) * i / (te._DOMAIN_POINTS - 1), beta)
         best = max(best, min(u1 - u1_base, u2 - u2_base))
     return best
 
@@ -625,14 +628,20 @@ def scalar_mb_scan(phi1, phi2, x1, x2, beta):
 
 
 def assert_curve_matches_scalar(g, beta, steps):
-    """payoff_curves over the whole domain against _induced_payoffs, one transfer at a time."""
+    """payoff_curves over the whole domain against _induced_payoffs, one transfer at a time.
+
+    The tau column is in the caller's units, clamped to the adversary's multiple
+    of the unit-adversary edges; the payoffs are read at tau over the adversary's budget.
+    """
     lo, hi = -g.x2, g.x1
-    edge_lo, edge_hi = te._tau_bounds(g.x1, g.x2)
-    u1_base, u2_base = te._induced_payoffs(g, 0.0, beta)
+    xa = g.adversary_budget
+    game = unit_game(g)
+    edge_lo, edge_hi = te._tau_bounds(*game[2:])
+    u1_base, u2_base = te._induced_payoffs(*game, 0.0, beta)
     expected = []
     for k in range(steps):
-        tau = min(max(min(lo + (hi - lo) * k / (steps - 1), hi), edge_lo), edge_hi)
-        u1, u2 = te._induced_payoffs(g, tau, beta)
+        tau = min(max(min(lo + (hi - lo) * k / (steps - 1), hi), xa * edge_lo), xa * edge_hi)
+        u1, u2 = te._induced_payoffs(*game, tau / xa, beta)
         expected.append((tau, u1 - u1_base, u2 - u2_base, u1 + u2))
     rows = payoff_curves(g, beta, (lo, hi), steps)
     assert rows.dtype == np.float64 and rows.shape == (steps, 4)
@@ -680,14 +689,21 @@ class TestMarchExtremes:
                 assert -g.x2 < analyze(g, beta).alliance_tau < g.x1
 
     def test_tiny_budgets_are_not_beaten_by_a_grid_transfer(self):
-        # the march's edge can lie 1e-12 of the adversary's budget inside the grid's,
-        # which reads its edges on the raw budgets; what the grid gains there stays below the bound
-        for g in tiny_budget_games()[:100]:
-            grid = te._even_grid(*te._tau_bounds(g.x1, g.x2), 2001)
+        # The grid and the march share the unit-adversary domain, so a grid transfer can beat
+        # the alliance transfer only by the rounding of the two sums u1 + u2. With d = 2**-53,
+        # each errs by at most 4.5*d*(phi1 + phi2): a Lotto payoff's elasticity in its budget
+        # is at most 1/2, so the budget's two roundings move it by at most d*phi_i; its formula
+        # adds at most 2.5*d*phi_i and the sum d*(phi1 + phi2); the split's rounding enters only
+        # at second order, since the split minimizes phi1 + phi2 - u1 - u2. The worst gap over
+        # these games is 1.65e-16*(phi1 + phi2), about 1.5*d.
+        for g in tiny_budget_games():
+            game = te._oriented_floats(g)[:4]
+            grid = te._even_grid(*te._tau_bounds(*game[2:]), 2001)
             for beta in DEFAULT_VERIFY_BETAS:
-                u1, u2 = te._induced_payoffs_vec(g, grid, beta)
-                best = sum(te._induced_payoffs(g, alliance_optimal(g, beta)[0], beta))
-                assert np.max(u1 + u2) - best <= 5e-13 * (g.phi1 + g.phi2)
+                u1, u2 = te._induced_payoffs_vec(*game, grid, beta)
+                tau = te._alliance_optimal_f(*game, beta, False, 1.0)[1]
+                best = sum(te._induced_payoffs(*game, tau, beta))
+                assert np.max(u1 + u2) - best <= 9 * 2.0**-53 * (g.phi1 + g.phi2)
 
     def test_flipped_case_2_ratio_when_phi2_k_squared_underflows(self):
         # phi2*K*K underflows to 0 in this game, K = x1 + beta*x2
@@ -699,6 +715,27 @@ class TestMarchExtremes:
             tau, gain = alliance_optimal(g, beta)
             assert -g.x2 < tau < 0.0 and gain > 0.0
         gn = normalize(g)[0]
+        assert assert_analysis_matches_point_path(gn.phi1, gn.phi2, gn.x1, gn.x2, [0.1, 0.5, 1.0]) is None
+
+    def test_case_3_split_when_phi1_x1_underflows(self):
+        # phi1*x1 = 9e-332 underflows to 0.0 in this case-3 game, and the split once read 0.0
+        # as s1/(s1 + s2), s_i = sqrt(phi_i*x_i): front 1 was left undefended, every transfer
+        # seemed to lose phi1, and each beta raised "losing transfer"
+        g = GameParams(
+            7.307865001439245e-136, 1.8981122151291395e-134, 1.8413212813796505e-117,
+            2.188447389895861e-17, 1.4679693447667783e79,
+        )
+        gn = normalize(g)[0]
+        assert gn.phi1 * gn.x1 == 0.0
+        # As 1/(1 + sqrt(phi2/phi1*(x2/x1))) the split takes six roundings of at most 2**-53 each;
+        # the square root halves the three before it, so it lies within 4.5*2**-53 < 2**-50 of
+        # the 60-digit reference, relatively.
+        split = optimal_split(gn)
+        assert split.case_label is Case.CASE_3
+        assert split.x_a1 == pytest.approx(float(decimal_split(gn.phi1, gn.phi2, gn.x1, gn.x2)), rel=2.0**-50, abs=0.0)
+        for beta in (0.1, 0.5, 1.0):
+            tau, gain = alliance_optimal(g, beta)
+            assert -g.x2 < tau < 0.0 and gain > 0.0
         assert assert_analysis_matches_point_path(gn.phi1, gn.phi2, gn.x1, gn.x2, [0.1, 0.5, 1.0]) is None
 
     def test_tiny_budgets_reach_an_optimum(self):
@@ -718,12 +755,13 @@ class TestMarchExtremes:
     @given(log_uniform, log_uniform, log_uniform, log_uniform, log_uniform)
     def test_no_grid_transfer_beats_the_alliance_optimum(self, phi1, phi2, x1, x2, xa):
         g = GameParams(phi1, phi2, x1, x2, xa)
-        lo, hi = te._tau_bounds(x1, x2)
+        game = unit_game(g)
+        lo, hi = te._tau_bounds(*game[2:])
         taus = lo + (hi - lo) * np.arange(2001) / 2000
         for beta in DEFAULT_VERIFY_BETAS:
             tau = analyze(g, beta).alliance_tau
             best = alliance_payoff(g, Transfer(tau, beta))
-            u1, u2 = te._induced_payoffs_vec(g, taus, beta)
+            u1, u2 = te._induced_payoffs_vec(*game, taus, beta)
             assert np.max(u1 + u2) - best <= 1e-9 * (phi1 + phi2)
 
     @pytest.mark.xfail(
