@@ -53,6 +53,9 @@ class GameParams:
             if not (0.0 < value < math.inf):
                 kind = "strictly positive" if math.isfinite(value) else "finite"
                 raise ValueError(f"{name} must be {kind}, got {value}")
+        for name, value in (("x1", self.x1), ("x2", self.x2)):
+            if not (0.0 < value / self.adversary_budget < math.inf):
+                raise ValueError(f"{name}/adversary_budget leaves the float range: {value}/{self.adversary_budget}")
 
 
 @dataclass(frozen=True)
@@ -71,18 +74,23 @@ class AdversaryResponse:
     x_a2: float
 
 
-def normalize(raw: GameParams) -> tuple[GameParams, bool]:
-    """Scale budgets so the adversary holds 1, and swap indices if needed.
+def _frame(g: GameParams) -> tuple[float, float, float, float, bool]:
+    """(phi1, phi2, x1, x2, swapped): the game with budgets in the adversary's units, oriented.
 
-    The returned game satisfies adversary_budget == 1 and
-    phi2/phi1 <= x2/x1 (cross-multiplied to avoid division); the returned
-    bool, swapped, records whether players 1 and 2 were exchanged.
+    The indices are swapped, and swapped is True, where phi2/phi1 > x2/x1
+    (cross-multiplied to avoid division), so the result has phi2/phi1 <= x2/x1.
     """
-    xa = raw.adversary_budget
-    x1, x2 = raw.x1 / xa, raw.x2 / xa
-    if raw.phi2 * x1 > raw.phi1 * x2:
-        return GameParams(phi1=raw.phi2, phi2=raw.phi1, x1=x2, x2=x1), True
-    return GameParams(phi1=raw.phi1, phi2=raw.phi2, x1=x1, x2=x2), False
+    xa = g.adversary_budget
+    x1, x2 = g.x1 / xa, g.x2 / xa
+    if g.phi2 * x1 > g.phi1 * x2:
+        return g.phi2, g.phi1, x2, x1, True
+    return g.phi1, g.phi2, x1, x2, False
+
+
+def normalize(raw: GameParams) -> tuple[GameParams, bool]:
+    """_frame's game as a GameParams holding a unit adversary budget, and swapped."""
+    phi1, phi2, x1, x2, swapped = _frame(raw)
+    return GameParams(phi1, phi2, x1, x2), swapped
 
 
 def _require_normalized_oriented(g: GameParams) -> None:

@@ -16,12 +16,13 @@ from the zipped columns, with no Python call per cell.
 The raster sends every in-frame cell at every beta through one call of
 transfer_engine._analyze_vec, which equals the scalar point path bit for
 bit and raises its error for the first failing (beta, cell). The beta
-sweep orients its game once, tests mutual benefit over the whole beta grid
-in one call, and marches to the alliance optimum one beta at a time. Its four
-payoff maxima are maxima over candidate transfers in closed form, in either
-donation direction: zero and the domain edges; the case boundaries and the
-proportional band's edges, each read on both sides; each player's
-stationary points; and the crossings of each player's no-transfer payoff.
+sweep orients its game once, takes both zero-transfer verdicts over the
+whole beta grid in one call, and marches to the alliance optimum one beta
+at a time. Its four payoff maxima are maxima over candidate transfers in
+closed form, in either donation direction: zero and the domain edges; the
+case boundaries and the proportional band's edges, each read on both sides;
+each player's stationary points; and the crossings of each player's
+no-transfer payoff.
 Every candidate is a real transfer taken at its true payoffs, so a maximum
 never exceeds what some transfer attains. All rows' candidates go through
 one array call; a candidate of 0.0, a placeholder for a root outside the
@@ -36,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from blotto_alliance.adversary_response import Case, GameParams
+from blotto_alliance.adversary_response import Case, GameParams, _frame
 from blotto_alliance.transfer_engine import (
     _alliance_optimal_f,
     _analyze_vec,
@@ -46,11 +47,10 @@ from blotto_alliance.transfer_engine import (
     _even_grid,
     _induced_payoffs,
     _induced_payoffs_vec,
-    _mutual_benefit_f,
-    _oriented_floats,
     _quadratic_roots_vec,
     _seed_polynomials,
     _tau_bounds,
+    _verdicts_f,
 )
 
 
@@ -254,8 +254,8 @@ def beta_sweep(
     Payoffs at the alliance-optimal transfer are tabulated separately since
     that transfer generally favors one player.
 
-    The game is oriented once, and one mutual-benefit call covers every beta
-    before the per-beta marches.
+    The game is oriented once, and one call takes both zero-transfer verdicts
+    for every beta before the per-beta marches.
     """
     lo, hi = beta_range
     if not (0.0 < lo < hi <= 1.0):
@@ -266,11 +266,11 @@ def beta_sweep(
     x1, x2 = game[2:]
     u1_nom, u2_nom = _induced_payoffs(*game, 0.0, 1.0)
     u12_nom = u1_nom + u2_nom
-    *oriented, swapped = _oriented_floats(g)
-    exists = _mutual_benefit_f(*oriented, betas)[2].tolist()
+    *oriented, swapped = _frame(g)
+    exists, dagger = (v.tolist() for v in _verdicts_f(*oriented, betas)[2:])
     points = []
-    for mb, beta in zip(exists, betas.tolist()):
-        _, tau_dag, gain = _alliance_optimal_f(*oriented, beta, swapped, 1.0)
+    for mb, dag, beta in zip(exists, dagger, betas.tolist()):
+        tau_dag, gain = _alliance_optimal_f(*oriented, beta, dag, swapped, 1.0)
         points.append((mb, tau_dag, gain, *_induced_payoffs(*game, tau_dag, beta)))
 
     tau_lo, tau_hi = _tau_bounds(x1, x2)

@@ -7,7 +7,8 @@ public function divides x1, x2 and tau by it once and works in its units.
 All analysis happens in the oriented frame (phi2/phi1 <= x2/x1), where the
 only candidate direction is player 2 donating to player 1 (tau < 0);
 mirrored games are handled by swapping indices on entry and negating
-transfer signs on exit.
+transfer signs on exit. Every point query takes that frame, as floats, from
+adversary_response._frame.
 
 Closed forms implemented here:
 
@@ -47,14 +48,15 @@ and changes nothing else, while the payoffs stay normal floats.
 The point path, the mutual-benefit test then the alliance march, also runs
 as one array pass, _analyze_vec, over broadcast arrays of oriented
 unit-adversary games; only the region raster calls it. Each closed-form
-rule is written once and both paths call it: the thresholds, the
-mutual-benefit rule, the transfer-domain edge, the seed polynomials, the
+rule is written once and both paths call it: the thresholds and the
+threshold's min, the mutual-benefit rule and the zero-transfer-optimal rule
+(all three in _verdicts), the transfer-domain edge, the seed polynomials, the
 case-4 test at a cut, the stationary ratios and the alliance gain. So is the
 evenly spaced grid, _even_grid, which every sweep product and mutual_margin
 take their grids from. The array pass takes the scalar steps in the same
 order, so every element equals the scalar result bit for bit, the sign of
 zero included. It only flags the games the point path rejects, then reruns
-the point path to raise that path's own error, so only the scalar path
+the scalar alliance optimum to raise its own error, so only the scalar path
 words a seed-overflow or losing-transfer error.
 """
 
@@ -70,13 +72,13 @@ from blotto_alliance.adversary_response import (
     GameParams,
     PayoffProfile,
     _classify_vec,
+    _frame,
     _orient_vec,
     _payoffs_any_f,
     _payoffs_f,
     _payoffs_vec,
     _proportional,
     _response_f,
-    normalize,
 )
 
 # Transfers are clamped this far inside the open domain (-x2, x1) before
@@ -205,11 +207,6 @@ def alliance_payoff(g: GameParams, t: Transfer) -> float:
     return p.u1 + p.u2
 
 
-def _oriented_floats(g: GameParams) -> tuple[float, float, float, float, bool]:
-    gn, swapped = normalize(g)
-    return gn.phi1, gn.phi2, gn.x1, gn.x2, swapped
-
-
 def _threshold_branches(phi1, phi2, x1, x2, sqrt=math.sqrt):
     """The case-2 and case-3 branches of the mutual-benefit and of the alliance threshold.
 
@@ -220,9 +217,25 @@ def _threshold_branches(phi1, phi2, x1, x2, sqrt=math.sqrt):
     return ((2.0 * root - x1) / x2, 2.0 * root + x1 / x2), ((root - x1) / x2, root)
 
 
-def _mb_threshold_f(phi1: float, phi2: float, x1: float, x2: float) -> float:
-    """The mutual-benefit threshold of an oriented unit-adversary game."""
-    return min(_threshold_branches(phi1, phi2, x1, x2)[0])
+def _verdicts(case, phi1, phi2, x1, x2, beta, sqrt=math.sqrt, minimum=min):
+    """(threshold, mb_exists, in_g_dagger) at zero transfer; arrays take np.sqrt and a minimum like min.
+
+    The threshold is the smaller mutual-benefit branch. A mutually beneficial
+    transfer exists iff the case is 2 or 3 and beta exceeds it; zero transfer
+    is alliance-optimal iff the case is 4, or 2 or 3 with beta at most that
+    case's alliance branch.
+    """
+    mutual, (alliance_2, alliance_3) = _threshold_branches(phi1, phi2, x1, x2, sqrt)
+    threshold = minimum(*mutual)
+    exists = ((case == 2) | (case == 3)) & (beta > threshold)
+    dagger = (case == 4) | ((case == 2) & (beta <= alliance_2)) | ((case == 3) & (beta <= alliance_3))
+    return threshold, exists, dagger
+
+
+def _verdicts_f(phi1: float, phi2: float, x1: float, x2: float, beta):
+    """(case, threshold, mb_exists, in_g_dagger) of an oriented unit-adversary game; beta may be an array."""
+    case = _response_f(phi1, phi2, x1, x2)[0]
+    return (case, *_verdicts(case, phi1, phi2, x1, x2, beta))
 
 
 def mb_beta_threshold(g: GameParams) -> float:
@@ -231,49 +244,19 @@ def mb_beta_threshold(g: GameParams) -> float:
     Returned for every game; it is operative only in cases 2 and 3, where the
     smaller branch is always the one matching the game's own case.
     """
-    phi1, phi2, x1, x2, _ = _oriented_floats(g)
-    return _mb_threshold_f(phi1, phi2, x1, x2)
-
-
-def _mb_exists_rule(case, threshold, beta):
-    """Mutual benefit exists iff the case is 2 or 3 and beta > threshold; floats or arrays."""
-    return ((case == 2) | (case == 3)) & (beta > threshold)
-
-
-def _mutual_benefit_f(phi1: float, phi2: float, x1: float, x2: float, beta):
-    """(case, threshold, exists) for an oriented unit-adversary game; beta may be an array."""
-    case = _response_f(phi1, phi2, x1, x2)[0]
-    threshold = _mb_threshold_f(phi1, phi2, x1, x2)
-    return case, threshold, _mb_exists_rule(case, threshold, beta)
+    return _verdicts_f(*_frame(g)[:4], 1.0)[1]  # any beta: the threshold does not read it
 
 
 def mb_exists(g: GameParams, beta: float) -> bool:
     """Whether some transfer strictly raises both players' payoffs."""
     _check_beta(beta)
-    phi1, phi2, x1, x2, _ = _oriented_floats(g)
-    return _mutual_benefit_f(phi1, phi2, x1, x2, beta)[2]
+    return _verdicts_f(*_frame(g)[:4], beta)[2]
 
 
 def in_g_dagger(g: GameParams, beta: float) -> bool:
     """Whether no transfer at all can improve the combined payoff u1 + u2."""
     _check_beta(beta)
-    phi1, phi2, x1, x2, _ = _oriented_floats(g)
-    return _in_g_dagger_f(phi1, phi2, x1, x2, beta)
-
-
-def _alliance_threshold_f(phi1: float, phi2: float, x1: float, x2: float, case: int) -> float | None:
-    """Zero transfer is alliance-optimal iff beta <= this (cases 2, 3); None in cases 1, 4."""
-    if case in (1, 4):
-        return None
-    return _threshold_branches(phi1, phi2, x1, x2)[1][case - 2]
-
-
-def _in_g_dagger_f(phi1: float, phi2: float, x1: float, x2: float, beta: float) -> bool:
-    case = _response_f(phi1, phi2, x1, x2)[0]
-    threshold = _alliance_threshold_f(phi1, phi2, x1, x2, case)
-    if threshold is None:
-        return case == 4
-    return beta <= threshold
+    return _verdicts_f(*_frame(g)[:4], beta)[3]
 
 
 def alliance_beta_threshold(g: GameParams) -> float | None:
@@ -283,8 +266,9 @@ def alliance_beta_threshold(g: GameParams) -> float | None:
     and 3 the returned value solves the respective membership boundary of
     the zero-transfer-optimal set, and may fall outside (0, 1].
     """
-    phi1, phi2, x1, x2, _ = _oriented_floats(g)
-    return _alliance_threshold_f(phi1, phi2, x1, x2, _response_f(phi1, phi2, x1, x2)[0])
+    phi1, phi2, x1, x2, _ = _frame(g)
+    case = _response_f(phi1, phi2, x1, x2)[0]
+    return None if case in (1, 4) else _threshold_branches(phi1, phi2, x1, x2)[1][case - 2]
 
 
 def _check_beta(*betas: float) -> None:
@@ -428,10 +412,10 @@ def _alliance_gain(phi1, phi2, x1, x2, beta, t, payoffs=_payoffs_any_f):
     return gain, gain < -1e-9 * (phi1 + phi2)
 
 
-def _alliance_optimal_f(phi1, phi2, x1, x2, beta, swapped: bool, xa: float) -> tuple[bool, float, float]:
-    """(in_g_dagger, tau, gain) for an oriented unit-adversary game, tau in the caller's frame."""
-    if _in_g_dagger_f(phi1, phi2, x1, x2, beta):
-        return True, 0.0, 0.0
+def _alliance_optimal_f(phi1, phi2, x1, x2, beta, dagger: bool, swapped: bool, xa: float) -> tuple[float, float]:
+    """(tau, gain) for an oriented unit-adversary game with G-dagger verdict dagger, tau in the caller's frame."""
+    if dagger:
+        return 0.0, 0.0
     t_dag = _march_alliance(phi1, phi2, x1, x2, beta)
     gain, losing = _alliance_gain(phi1, phi2, x1, x2, beta, t_dag)
     if losing:
@@ -439,7 +423,7 @@ def _alliance_optimal_f(phi1, phi2, x1, x2, beta, swapped: bool, xa: float) -> t
             "alliance march produced a losing transfer",
             {"phi1": phi1, "phi2": phi2, "x1": x1, "x2": x2, "beta": beta, "t": t_dag, "gain": gain},
         )
-    return False, (t_dag if swapped else -t_dag) * xa, max(gain, 0.0)
+    return (t_dag if swapped else -t_dag) * xa, max(gain, 0.0)
 
 
 def alliance_optimal(g: GameParams, beta: float) -> tuple[float, float]:
@@ -450,8 +434,9 @@ def alliance_optimal(g: GameParams, beta: float) -> tuple[float, float]:
     in the oriented frame) and the gain is positive.
     """
     _check_beta(beta)
-    phi1, phi2, x1, x2, swapped = _oriented_floats(g)
-    return _alliance_optimal_f(phi1, phi2, x1, x2, beta, swapped, g.adversary_budget)[1:]
+    phi1, phi2, x1, x2, swapped = _frame(g)
+    dagger = _verdicts_f(phi1, phi2, x1, x2, beta)[3]
+    return _alliance_optimal_f(phi1, phi2, x1, x2, beta, dagger, swapped, g.adversary_budget)
 
 
 def _quadratic_roots_vec(a, b, c) -> tuple[np.ndarray, np.ndarray]:
@@ -503,14 +488,14 @@ def _march_alliance_vec(phi1, phi2, x1, x2, beta) -> np.ndarray:
 
 
 def _analyze_vec(phi1, phi2, x1, x2, beta):
-    """The point path, _mutual_benefit_f then _alliance_optimal_f, per element, bit for bit.
+    """The point path, _verdicts_f then _alliance_optimal_f, per element, bit for bit.
 
     The five arguments are oriented unit-adversary games and broadcast
     against each other; (case, threshold, mb_exists, tau, gain) come back in
     their broadcast shape, tau in the oriented frame. Rounding that overflows
     stays silent, as it does on Python floats. The array passes only flag the
-    elements the point path rejects; if any is flagged, the point path reruns
-    over the elements in broadcast order and raises its first error.
+    elements the point path rejects; if any is flagged, the alliance optimum
+    reruns over the elements in broadcast order and raises its first error.
     """
     _check_beta(*np.asarray(beta, dtype=float).ravel().tolist())
     args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (phi1, phi2, x1, x2, beta)))
@@ -518,23 +503,21 @@ def _analyze_vec(phi1, phi2, x1, x2, beta):
     phi1, phi2, x1, x2, beta = (v.ravel() for v in args)
     with np.errstate(all="ignore"):  # Python floats overflow silently too
         case = _classify_vec(phi1, phi2, x1, x2)[0]
-        (t_case2, t_case3), alliance = _threshold_branches(phi1, phi2, x1, x2, np.sqrt)
-        threshold = np.where(t_case3 < t_case2, t_case3, t_case2)  # min() keeps the first on a tie
-        below = [beta <= t for t in alliance]
-        dagger = (case == 4) | ((case == 2) & below[0]) | ((case == 3) & below[1])
+        # as min does, keep the first of a tie: np.minimum may return the second of -0.0 and 0.0
+        threshold, exists, dagger = _verdicts(
+            case, phi1, phi2, x1, x2, beta, np.sqrt, lambda a, b: np.where(b < a, b, a)
+        )
         overflow = np.logical_or(*map(np.isinf, _seed_squares(x1, x2, np.float_power)))
         t_dag = _march_alliance_vec(phi1, phi2, x1, x2, beta)
         gain, losing = _alliance_gain(phi1, phi2, x1, x2, beta, t_dag, _payoffs_vec)
     if (~dagger & (overflow | losing)).any():
-        for game in zip(*(v.tolist() for v in (phi1, phi2, x1, x2, beta))):
-            _mutual_benefit_f(*game)
+        for game in zip(*(v.tolist() for v in (phi1, phi2, x1, x2, beta, dagger))):
             _alliance_optimal_f(*game, False, 1.0)
         raise InternalInconsistencyError("the array pass rejects a game that the point path accepts")
     tau = np.where(dagger, 0.0, -t_dag)
     # max(gain, 0.0): a difference of equal sums is +0.0, so no -0.0 reaches here
     gain = np.where(dagger | (gain < 0.0), 0.0, gain)
-    results = case, threshold, _mb_exists_rule(case, threshold, beta), tau, gain
-    return tuple(v.reshape(shape) for v in results)
+    return tuple(v.reshape(shape) for v in (case, threshold, exists, tau, gain))
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +595,8 @@ def _mb_interval_oriented(
 def mb_interval(g: GameParams, beta: float) -> tuple[float, float] | None:
     """Open interval of transfers improving both players, in the caller's frame."""
     _check_beta(beta)
-    phi1, phi2, x1, x2, swapped = _oriented_floats(g)
-    if not _mutual_benefit_f(phi1, phi2, x1, x2, beta)[2]:
+    phi1, phi2, x1, x2, swapped = _frame(g)
+    if not _verdicts_f(phi1, phi2, x1, x2, beta)[2]:
         return None
     return _map_interval(_mb_interval_oriented(phi1, phi2, x1, x2, beta)[0], swapped, g.adversary_budget)
 
@@ -633,11 +616,11 @@ def _map_interval(
 def analyze(g: GameParams, beta: float) -> TransferAnalysis:
     """Complete transfer analysis of a raw game at one efficiency value."""
     _check_beta(beta)
-    phi1, phi2, x1, x2, swapped = _oriented_floats(g)
-    case, threshold, exists = _mutual_benefit_f(phi1, phi2, x1, x2, beta)
+    phi1, phi2, x1, x2, swapped = _frame(g)
+    case, threshold, exists, dagger = _verdicts_f(phi1, phi2, x1, x2, beta)
 
     interval, anomaly = _mb_interval_oriented(phi1, phi2, x1, x2, beta) if exists else (None, False)
-    dagger, tau, gain = _alliance_optimal_f(phi1, phi2, x1, x2, beta, swapped, g.adversary_budget)
+    tau, gain = _alliance_optimal_f(phi1, phi2, x1, x2, beta, dagger, swapped, g.adversary_budget)
     return TransferAnalysis(
         mb_exists=exists,
         mb_interval=_map_interval(interval, swapped, g.adversary_budget),
@@ -658,7 +641,7 @@ def mutual_margin(g: GameParams, beta: float) -> float:
     certify mutual benefit when this margin clears its discretization slack.
     """
     _check_beta(beta)
-    game = _oriented_floats(g)[:4]
+    game = _frame(g)[:4]
     u1_base, u2_base = _induced_payoffs(*game, 0.0, beta)
     u1, u2 = _induced_payoffs_vec(*game, _even_grid(*_tau_bounds(*game[2:]), _DOMAIN_POINTS), beta)
     return float(np.max(np.minimum(u1 - u1_base, u2 - u2_base)))

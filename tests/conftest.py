@@ -1,7 +1,9 @@
+import os
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 # Hypothesis imports libcst to word a failing example's report, and importing
 # libcst warns that mypy_extensions.TypedDict is deprecated. Under -W error that
@@ -14,6 +16,13 @@ with warnings.catch_warnings():
         import libcst.codemod  # noqa: F401
     except ImportError:
         pass
+
+
+# A derandomized run draws the same examples on every run, so a failure where CI is set,
+# as GitHub Actions sets it, reproduces locally with CI=true. max_examples stays each test's own.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Case classification and optimal split against worked examples and enumeration."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,16 @@ class TestNormalize:
         base = dict(phi1=1.0, phi2=1.0, x1=1.0, x2=1.0, adversary_budget=1.0)
         base[name] = value
         with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GameParams(**base)
+
+    # x/adversary_budget overflows to inf, then underflows to 0.0; every entry point
+    # takes its game as a GameParams, so none can be given such a game
+    @pytest.mark.parametrize("budget, xa", [(1e300, 1e-100), (1e-300, 1e100)], ids=["overflow", "underflow"])
+    @pytest.mark.parametrize("name", ["x1", "x2"])
+    def test_rejects_a_budget_ratio_outside_the_float_range(self, name, budget, xa):
+        base = dict(phi1=1.0, phi2=1.0, x1=1.0, x2=1.0, adversary_budget=xa)
+        base[name] = budget
+        with pytest.raises(ValueError, match=re.escape(f"{name}/adversary_budget leaves the float range: {budget}/{xa}")):
             GameParams(**base)
 
 

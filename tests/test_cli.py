@@ -307,6 +307,27 @@ class TestAnalyze:
         assert got == want
 
 
+class TestBudgetRatioRange:
+    """Every command that takes --xa exits 2 with one line where x/xa leaves the float range."""
+
+    # at 1e300/1e-100 analyze once named x2 and curve printed nan rows; at 1e-300/1e100 curve
+    # and beta-sweep raised a bare ZeroDivisionError
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--beta", "0.5"],
+        ["curve", "--beta", "0.5", "--tau-min=-1", "--tau-max", "1", "--steps", "3"],
+        ["beta-sweep", "--beta-min", "0.1", "--beta-max", "0.5", "--steps", "3"],
+    ], ids=["analyze", "curve", "beta-sweep"])
+    @pytest.mark.parametrize("budget, xa", [("1e300", "1e-100"), ("1e-300", "1e100")], ids=["overflow", "underflow"])
+    @pytest.mark.parametrize("name", ["x1", "x2"])
+    def test_exits_2_naming_the_ratio(self, capsys, command, name, budget, xa):
+        budgets = {"x1": "0.5", "x2": "1.5", name: budget}
+        code, out, err = run_cli(
+            capsys, *command, "--phi1", "1", "--phi2", "1.2", "--x1", budgets["x1"], "--x2", budgets["x2"], "--xa", xa
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {name}/adversary_budget leaves the float range: {float(budget)}/{float(xa)}\n"
+
+
 class TestCurve:
     def test_reference_curves(self, capsys):
         code, out, _ = run_cli(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from blotto_alliance import sweep, transfer_engine as te
-from blotto_alliance.adversary_response import Case, GameParams, mirror
+from blotto_alliance.adversary_response import Case, GameParams, _frame, mirror
 from blotto_alliance.cli import main
 from blotto_alliance.sweep import (
     Axis,
@@ -47,7 +47,7 @@ def scalar_region_raster(grid):
                 if phi2 * x1 > phi1 * x2:
                     cells.append(SweepCell(beta=beta, x1=x1, x2=x2, in_frame=False))
                     continue
-                case, _, exists = te._mutual_benefit_f(phi1, phi2, x1, x2, beta)
+                case, _, exists, _ = te._verdicts_f(phi1, phi2, x1, x2, beta)
                 tau, _ = te.alliance_optimal(GameParams(phi1, phi2, x1, x2), beta)
                 cells.append(SweepCell(beta, x1, x2, True, Case(case), exists, tau))
     return cells
@@ -60,12 +60,12 @@ def scalar_beta_sweep(g, beta_range, steps):
     """
     lo, hi = beta_range
     game = unit_game(g)
-    *oriented, swapped = te._oriented_floats(g)
+    *oriented, swapped = _frame(g)
     u1_nom, u2_nom = te._induced_payoffs(*game, 0.0, 1.0)
     rows = []
     for i in range(steps):
         beta = min(lo + (hi - lo) * i / (steps - 1), hi)
-        _, tau_dag, gain = te._alliance_optimal_f(*oriented, beta, swapped, 1.0)
+        tau_dag, gain = te._alliance_optimal_f(*oriented, beta, te.in_g_dagger(g, beta), swapped, 1.0)
         assert (tau_dag * g.adversary_budget, gain) == te.alliance_optimal(g, beta)
         u1_dag, u2_dag = te._induced_payoffs(*game, tau_dag, beta)
         rows.append(
