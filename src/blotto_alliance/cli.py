@@ -185,8 +185,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 def _load_config(path: str, commands: dict, command: str) -> dict[str, str]:
     """The file's values for the flags of `command`, keyed by argparse dest.
 
-    Keys are flag names with `-` or `_`. Keys of other subcommands are
-    skipped; a key that no subcommand has is an error.
+    Keys are flag names with `-` or `_`, and `#` starts a comment anywhere
+    on a line. Keys of other subcommands are skipped; a key that no
+    subcommand has is an error.
     """
     dests = {name: {a.dest for a in p._actions} for name, p in commands.items()}
     known = set().union(*dests.values()) - {"help", "config"}
@@ -194,8 +195,8 @@ def _load_config(path: str, commands: dict, command: str) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
+                line = raw.partition("#")[0].strip()
+                if not line:
                     continue
                 if "=" not in line:
                     raise CliError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
@@ -204,7 +205,10 @@ def _load_config(path: str, commands: dict, command: str) -> dict[str, str]:
                 if key not in known:
                     raise CliError(f"unknown config key {key!r}")
                 if key in dests[command]:
-                    values[key] = val.strip()
+                    values[key] = val = val.strip()
+                    # --json and --text store a constant, so argparse converts no file value of format
+                    if key == "format" and val not in ("json", "text"):
+                        raise CliError(f"config key 'format' takes json or text, got {val!r}")
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     return values

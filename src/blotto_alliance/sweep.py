@@ -250,7 +250,11 @@ def beta_sweep(
     jump at the proportional ray. max_u1_mutual and max_u2_mutual are the
     largest over those candidates that do not push the other player below
     their no-transfer payoff, less a slack of 1e-12*(phi1 + phi2) that
-    scales with the valuations. max_u12 uses the exact alliance optimum.
+    scales with the valuations and is more than rounding: a boundary is also
+    read 1e-12 to either side, and a rounded root moves along a steep payoff,
+    so a mutual maximum may leave the other player up to about
+    1e-12*(phi1 + phi2) below their exact no-transfer payoff (measured in
+    tests/test_sweep.py). max_u12 uses the exact alliance optimum.
     Payoffs at the alliance-optimal transfer are tabulated separately since
     that transfer generally favors one player.
 

@@ -50,14 +50,14 @@ as one array pass, _analyze_vec, over broadcast arrays of oriented
 unit-adversary games; only the region raster calls it. Each closed-form
 rule is written once and both paths call it: the thresholds and the
 threshold's min, the mutual-benefit rule and the zero-transfer-optimal rule
-(all three in _verdicts), the transfer-domain edge, the seed polynomials, the
-case-4 test at a cut, the stationary ratios and the alliance gain. So is the
-evenly spaced grid, _even_grid, which every sweep product and mutual_margin
-take their grids from. The array pass takes the scalar steps in the same
-order, so every element equals the scalar result bit for bit, the sign of
-zero included. It only flags the games the point path rejects, then reruns
-the scalar alliance optimum to raise its own error, so only the scalar path
-words a seed-overflow or losing-transfer error.
+(all three in _verdicts), the transfer-domain edge, the seed polynomials,
+the stationary ratios and the alliance gain. So is the evenly spaced grid,
+_even_grid, which every sweep product and mutual_margin take their grids
+from. The array pass takes the scalar steps in the same order, so every
+element equals the scalar result bit for bit, the sign of zero included. It
+only flags the games the point path rejects, then reruns the scalar alliance
+optimum to raise its own error, so only the scalar path words a
+seed-overflow or losing-transfer error.
 """
 
 import math
@@ -77,7 +77,6 @@ from blotto_alliance.adversary_response import (
     _payoffs_any_f,
     _payoffs_f,
     _payoffs_vec,
-    _proportional,
     _response_f,
 )
 
@@ -304,7 +303,7 @@ def _seed_squares(x1, x2, power=operator.pow):
 
 
 def _seed_polynomials(phi1, phi2, x1, x2, beta, power=operator.pow):
-    """The linear seed and the (a, b, c) of the four quadratics of _boundary_seeds.
+    """The linear seed and the (a, b, c) of the four quadratics of _cuts.
 
     Floats or broadcast arrays; the array march passes np.float_power for
     power, since an ndarray's ** does not round like the scalar pow.
@@ -324,24 +323,22 @@ def _seed_polynomials(phi1, phi2, x1, x2, beta, power=operator.pow):
     ]
 
 
-def _boundary_seeds(
-    phi1: float, phi2: float, x1: float, x2: float, beta: float, t_top: float
-) -> list[float]:
-    """Candidate case-boundary crossings along the donation path.
+def _cuts(phi1: float, phi2: float, x1: float, x2: float, beta: float, extra=()) -> list[float]:
+    """0, the case-boundary crossings and extra inside (0, t_top) in order, then t_top, the donation's bound.
 
     With u = x1 + beta*t and v = x2 - t, every boundary between case regions
     (either orientation) is a root of a linear or quadratic polynomial in t:
     the proportional ray phi2*u = phi1*v, the all-in boundaries u*v = phi2/phi1
     and u*v = phi1/phi2, and the two strong-to-weak switches
-    phi1*u*v/phi2 = (1-v)^2 and phi2*u*v/phi1 = (1-u)^2. The roots inside
-    (0, t_top) are the march's segment edges; a root that is no boundary
-    only splits a segment in two.
+    phi1*u*v/phi2 = (1-v)^2 and phi2*u*v/phi1 = (1-u)^2. A root that is no
+    boundary only splits a segment in two.
     """
+    t_top = -_tau_bounds(x1, x2)[0]
     linear, quadratics = _seed_polynomials(phi1, phi2, x1, x2, beta)
-    seeds = [linear]
+    seeds = [linear, *extra]
     for a, b, c in quadratics:
         seeds += _quadratic_roots(a, b, c)
-    return [t for t in seeds if 0.0 < t < t_top]
+    return [0.0, *sorted(t for t in seeds if 0.0 < t < t_top), t_top]
 
 
 def _band_edges(phi1, phi2, x1, x2, beta):
@@ -358,15 +355,6 @@ def _segment_label(phi1: float, phi2: float, x1: float, x2: float, beta: float, 
     return _response_f(phi1, phi2, u, v)[0], False
 
 
-def _in_case_4(phi1, phi2, u, v, maximum=max):
-    """Whether budgets (u, v) put the game in case 4; arrays take maximum=np.maximum.
-
-    Orientation-free: the band test and u + v are symmetric under the player
-    swap, so this is _segment_label's case == 4 without orienting first.
-    """
-    return _proportional(phi2 * u, phi1 * v, maximum) & (u + v >= 1.0)
-
-
 def _stationary_ratios(phi1, phi2, x1, x2, beta):
     """u/v where d(u1 + u2)/dt = 0 in case 2, flipped case 2 and case 3; floats or arrays."""
     big_k = x1 + beta * x2  # x1_bar + beta*x2_bar is invariant along donations
@@ -377,21 +365,23 @@ def _stationary_ratios(phi1, phi2, x1, x2, beta):
 def _march_alliance(phi1: float, phi2: float, x1: float, x2: float, beta: float) -> float:
     """Donation size t = -tau >= 0 maximizing u1 + u2 in the oriented frame.
 
-    The case boundaries of _boundary_seeds cut the donation path [0, t_top]
-    into segments of one (case, flipped) label each, read at the segment's
+    _cuts splits the donation path [0, t_top] at the case boundaries into
+    segments of one (case, flipped) label each, read at the segment's
     midpoint. Within a segment the derivative of u1 + u2 falls in t: it is
     positive throughout unflipped case 1, negative throughout flipped case 1,
     and in cases 2 and 3 it vanishes where u/v reaches a closed-form ratio r,
     that is at t = (r*x2 - x1)/(beta + r). The march stops at the first
-    segment that does not improve all the way to its far end, or at a case 4
-    point; when the payoff still improves at t_top, it returns t_top.
+    segment that does not improve all the way to its far end; when the
+    payoff still improves at t_top, it returns t_top.
+
+    A case-4 cut needs no test of its own. It is zero-transfer optimal, so
+    the segment after it is flipped case 1, case 4, or flipped case 2 or 3,
+    whose r, (beta/K)^2*phi1/phi2 with K = u + beta*v >= beta*(u + v) >= beta
+    or beta^2*phi1/phi2, is at most the ray's phi1/phi2; each stops at the cut.
     """
     ratio_2, ratio_2_flipped, ratio_3 = _stationary_ratios(phi1, phi2, x1, x2, beta)
-    t_top = -_tau_bounds(x1, x2)[0]
-    cuts = [0.0, *sorted(_boundary_seeds(phi1, phi2, x1, x2, beta, t_top)), t_top]
+    cuts = _cuts(phi1, phi2, x1, x2, beta)
     for t_a, t_b in zip(cuts, cuts[1:]):
-        if _in_case_4(phi1, phi2, x1 + beta * t_a, x2 - t_a):
-            return t_a
         case, flipped = _segment_label(phi1, phi2, x1, x2, beta, 0.5 * (t_a + t_b))
         if case == 1 and not flipped:
             continue
@@ -401,7 +391,7 @@ def _march_alliance(phi1: float, phi2: float, x1: float, x2: float, beta: float)
         t = (r * x2 - x1) / (beta + r)
         if t < t_b:
             return max(t, t_a)  # t <= t_a: the payoff already falls from t_a
-    return t_top
+    return cuts[-1]
 
 
 def _alliance_gain(phi1, phi2, x1, x2, beta, t, payoffs=_payoffs_any_f):
@@ -455,9 +445,8 @@ def _march_alliance_vec(phi1, phi2, x1, x2, beta) -> np.ndarray:
 
     The seeds inside (0, t_top) are sorted into one row of cuts per element,
     with t_top after the last of them and +inf after that; each step of the
-    walk gathers the games of the elements still marching once, tests their
-    cut for case 4 with the orientation-free _in_case_4, and labels their
-    segment at its midpoint.
+    walk gathers the games of the elements still marching once and labels
+    their segment at its midpoint.
     """
     t_top = -_tau_bounds(x1, x2, np.maximum, np.minimum)[0]
     linear, quadratics = _seed_polynomials(phi1, phi2, x1, x2, beta, np.float_power)
@@ -477,7 +466,7 @@ def _march_alliance_vec(phi1, phi2, x1, x2, beta) -> np.ndarray:
         t_mid = 0.5 * (t_a + t_b)
         flipped, *oriented = _orient_vec(p1, p2, y1 + b * t_mid, y2 - t_mid)
         case = _classify_vec(*oriented)[0]
-        at_a = _in_case_4(p1, p2, y1 + b * t_a, y2 - t_a, np.maximum) | (case == 4) | ((case == 1) & flipped)
+        at_a = (case == 4) | ((case == 1) & flipped)
         r = np.where(case == 3, ratio_3[live], np.where(flipped, ratio_2_flipped[live], ratio_2[live]))
         t = (r * y2 - y1) / (b + r)
         done = at_a | ((case != 1) & (t < t_b))
@@ -564,9 +553,7 @@ def _mb_interval_oriented(
     u1_base, u2_base = _payoffs_f(phi1, phi2, x1, x2)
     equations = _crossing_equations(phi1, phi2, u1_base, x1, beta, x2, -1.0)
     equations += _crossing_equations(phi2, phi1, u2_base, x2, -1.0, x1, beta)
-    t_top = -_tau_bounds(x1, x2)[0]
-    band = [t for t in _band_edges(phi1, phi2, x1, x2, beta) if 0.0 < t < t_top]
-    edges = [0.0, *sorted(_boundary_seeds(phi1, phi2, x1, x2, beta, t_top) + band), t_top]
+    edges = _cuts(phi1, phi2, x1, x2, beta, _band_edges(phi1, phi2, x1, x2, beta))
     cuts = edges.copy()
     for t_a, t_b in zip(edges, edges[1:]):
         case = _segment_label(phi1, phi2, x1, x2, beta, 0.5 * (t_a + t_b))[0]

@@ -766,7 +766,10 @@ class TestConfigFile:
 
     def test_verify_config_matches_golden_flags(self, capsys, tmp_path):
         cfg = tmp_path / "verify.cfg"
-        cfg.write_text("trials = 3\nseed = 7\ntau-step = 1e-3\nphi1 = 9\n")
+        # a comment may follow a value on its line
+        cfg.write_text(
+            "# the recorded audit\ntrials = 3 # three games\nseed = 7  # the recorded seed\ntau-step = 1e-3\nphi1 = 9\n"
+        )
         code, out, _ = run_cli(capsys, "verify", "--config", str(cfg))
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT["verify"][1]
@@ -843,11 +846,13 @@ def with_flag(argv, flag, value):
         (["verify", "--trials", "1", "--beta-list", ","], None, "beta list must be nonempty"),
         (["analyze", "--config", "{cfg}"], "phi1 1\n", "{cfg}:1: expected 'key = value', got 'phi1 1'"),
         (["analyze", "--config", "{cfg}"], None, "cannot read config file {cfg}: "),
+        (["analyze", "--config", "{cfg}"], "format = xml\n", "config key 'format' takes json or text, got 'xml'"),
     ],
     ids=[
         "region-x1-min", "region-phi1", "region-phi2-inf", "region-x1-max-inf", "curve-steps", "beta-sweep-steps",
         "curve-tau-range",
         "verify-trials", "verify-beta-list", "verify-empty-beta-list", "config-line", "config-missing",
+        "config-format",
     ],
 )
 def test_rejected_input_exits_2_with_one_line(capsys, tmp_path, argv, config, error):

@@ -19,6 +19,7 @@ from blotto_alliance.adversary_response import (
     _orient_vec,
     _payoffs_any_f,
     _payoffs_f,
+    _proportional,
     _response_f,
     mirror,
     normalize,
@@ -238,10 +239,8 @@ class TestSharedRules:
         points += [(u, 1.0 - u, u, np.nextafter(1.0 - u, off)) for off in (1.0 - u, 0.0, 1.0)]
         phi1, phi2, u, v = (np.concatenate(column) for column in zip(*points))
 
-        got = te._in_case_4(phi1, phi2, u, v, np.maximum)
-        np.testing.assert_array_equal(got, _classify_vec(*_orient_vec(phi1, phi2, u, v)[1:])[0] == 4)
+        got = _classify_vec(*_orient_vec(phi1, phi2, u, v)[1:])[0] == 4
         games = list(zip(*(column.tolist() for column in (phi1, phi2, u, v))))
-        assert [te._in_case_4(*game) for game in games] == got.tolist()
         assert [te._segment_label(*game, 0.5, 0.0)[0] == 4 for game in games] == got.tolist()
         # both orientations reach case 4, and a proportional point below u + v = 1 does not
         flipped = phi2 * u > phi1 * v
@@ -890,6 +889,68 @@ class TestArrayMarch:
         monkeypatch.setattr(te, "_march_alliance_vec", lambda phi1, phi2, x1, x2, beta: np.full_like(x1, 1.4))
         with pytest.raises(te.InternalInconsistencyError, match="point path accepts"):
             te._analyze_vec(G1.phi1, G1.phi2, G1.x1, G1.x2, [0.05, 0.1])
+
+
+def march_with_cut_test(phi1, phi2, x1, x2, beta):
+    """(t, stopped_at_a_cut): _march_alliance's walk that also stops at every case-4 cut, as the march once did."""
+    ratio_2, ratio_2_flipped, ratio_3 = te._stationary_ratios(phi1, phi2, x1, x2, beta)
+    cuts = te._cuts(phi1, phi2, x1, x2, beta)
+    for t_a, t_b in zip(cuts, cuts[1:]):
+        u, v = x1 + beta * t_a, x2 - t_a
+        if _proportional(phi2 * u, phi1 * v) and u + v >= 1.0:
+            return t_a, True
+        case, flipped = te._segment_label(phi1, phi2, x1, x2, beta, 0.5 * (t_a + t_b))
+        if case == 1 and not flipped:
+            continue
+        if case in (1, 4):
+            return t_a, False
+        r = ratio_3 if case == 3 else ratio_2_flipped if flipped else ratio_2
+        t = (r * x2 - x1) / (beta + r)
+        if t < t_b:
+            return max(t, t_a), False
+    return cuts[-1], False
+
+
+class TestCaseFourStop:
+    """A case-4 cut stops the march through the label of the segment after it."""
+
+    @pytest.mark.parametrize("box", [(0.05, 5.0), (1e-3, 1e3), (1e-6, 1e6)], ids=["0.05-5", "1e-3-1e3", "1e-6-1e6"])
+    def test_equals_a_march_that_tests_every_cut(self, rng, box):
+        games = np.array([oriented_params(rng, *box) for _ in range(300)])
+        stops = 0
+        for beta in DEFAULT_VERIFY_BETAS:
+            expected = []
+            for game in games.tolist():
+                if te._verdicts_f(*game, beta)[3]:
+                    expected.append(0.0)
+                    continue
+                t, at_cut = march_with_cut_test(*game, beta)
+                assert_bits_equal(te._march_alliance(*game, beta), t)
+                expected.append(-t)
+                stops += at_cut
+            assert_bits_equal(te._analyze_vec(*games.T, beta)[3], expected)
+        # the reference's cut test decides a share of these marches, so the implied stop is exercised
+        assert stops > 0
+
+    def test_where_the_ray_meets_x1_plus_x2_equal_1_at_full_efficiency(self, rng):
+        # at beta = 1 and x1 + x2 = 1 the stationary point lies on the ray in exact arithmetic,
+        # so past a case-4 cut the march may take one more segment; its end agrees within
+        # rounding, the transfer's scaled by the phi1/phi2 of the seed quadratics that meet there
+        x1 = rng.uniform(0.0, 1.0, size=1500)
+        moved = 0
+        for x2 in (1.0 - x1, np.nextafter(1.0 - x1, 0.0), (1.0 - x1) * (1.0 + rng.uniform(-1e-15, 1e-15, x1.size))):
+            phi1, phi2 = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=(2, x1.size)))
+            for game in zip(*(column.tolist() for column in (phi1, phi2, x1, x2))):
+                game = oriented(*game)
+                if te._verdicts_f(*game, 1.0)[3]:
+                    continue
+                p1, p2, y1, y2 = game
+                t, t_cut = te._march_alliance(*game, 1.0), march_with_cut_test(*game, 1.0)[0]
+                assert t_cut <= t <= t_cut + 4.0 * (1.0 + p1 / p2) * 2.0**-53 * (y1 + y2), game
+                gain, gain_cut = (te._alliance_gain(*game, 1.0, at)[0] for at in (t, t_cut))
+                assert abs(gain - gain_cut) <= 4.0 * 2.0**-53 * (p1 + p2), game
+                moved += t != t_cut
+        assert moved > 0
 
 
 def assert_thresholds_match_the_reference(phi1, phi2, x1, x2):
