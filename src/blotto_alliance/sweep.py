@@ -37,13 +37,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from blotto_alliance.adversary_response import Case, GameParams, _frame
+from blotto_alliance.adversary_response import Case, GameParams, _frame, _payoffs_any_f
 from blotto_alliance.transfer_engine import (
     _alliance_optimal_f,
     _analyze_vec,
     _band_edges,
     _check_beta,
     _crossing_equations,
+    _cuts,
     _even_grid,
     _induced_payoffs,
     _induced_payoffs_vec,
@@ -258,8 +259,9 @@ def beta_sweep(
     Payoffs at the alliance-optimal transfer are tabulated separately since
     that transfer generally favors one player.
 
-    The game is oriented once, and one call takes both zero-transfer verdicts
-    for every beta before the per-beta marches.
+    The game is oriented once, its zero-transfer payoffs are taken once, and
+    one call takes both zero-transfer verdicts for every beta before the
+    per-beta marches.
     """
     lo, hi = beta_range
     if not (0.0 < lo < hi <= 1.0):
@@ -272,9 +274,12 @@ def beta_sweep(
     u12_nom = u1_nom + u2_nom
     *oriented, swapped = _frame(g)
     exists, dagger = (v.tolist() for v in _verdicts_f(*oriented, betas)[2:])
+    base = _payoffs_any_f(*oriented)
     points = []
     for mb, dag, beta in zip(exists, dagger, betas.tolist()):
-        tau_dag, gain = _alliance_optimal_f(*oriented, beta, dag, swapped, 1.0)
+        tau_dag, gain = 0.0, 0.0
+        if not dag:
+            tau_dag, gain = _alliance_optimal_f(*oriented, beta, base, _cuts(*oriented, beta), swapped, 1.0)
         points.append((mb, tau_dag, gain, *_induced_payoffs(*game, tau_dag, beta)))
 
     tau_lo, tau_hi = _tau_bounds(x1, x2)

@@ -58,6 +58,9 @@ element equals the scalar result bit for bit, the sign of zero included. It
 only flags the games the point path rejects, then reruns the scalar alliance
 optimum to raise its own error, so only the scalar path words a
 seed-overflow or losing-transfer error.
+
+analyze takes the zero-transfer response and the _cuts list once, and both
+the mutual-benefit interval and the alliance march read them.
 """
 
 import math
@@ -75,10 +78,10 @@ from blotto_alliance.adversary_response import (
     _frame,
     _orient_vec,
     _payoffs_any_f,
-    _payoffs_f,
     _payoffs_vec,
     _response_f,
 )
+from blotto_alliance.lotto_core import payoff
 
 # Transfers are clamped this far inside the open domain (-x2, x1) before
 # payoff evaluation (see _tau_bounds): _EDGE of the budget above 1, _EDGE
@@ -323,8 +326,8 @@ def _seed_polynomials(phi1, phi2, x1, x2, beta, power=operator.pow):
     ]
 
 
-def _cuts(phi1: float, phi2: float, x1: float, x2: float, beta: float, extra=()) -> list[float]:
-    """0, the case-boundary crossings and extra inside (0, t_top) in order, then t_top, the donation's bound.
+def _cuts(phi1: float, phi2: float, x1: float, x2: float, beta: float) -> list[float]:
+    """0, the case-boundary crossings inside (0, t_top) in order, then t_top, the donation's bound.
 
     With u = x1 + beta*t and v = x2 - t, every boundary between case regions
     (either orientation) is a root of a linear or quadratic polynomial in t:
@@ -335,7 +338,7 @@ def _cuts(phi1: float, phi2: float, x1: float, x2: float, beta: float, extra=())
     """
     t_top = -_tau_bounds(x1, x2)[0]
     linear, quadratics = _seed_polynomials(phi1, phi2, x1, x2, beta)
-    seeds = [linear, *extra]
+    seeds = [linear]
     for a, b, c in quadratics:
         seeds += _quadratic_roots(a, b, c)
     return [0.0, *sorted(t for t in seeds if 0.0 < t < t_top), t_top]
@@ -347,12 +350,27 @@ def _band_edges(phi1, phi2, x1, x2, beta):
     return [(s1 * x2 - s2 * r * x1) / (s2 * r * beta + s1) for s1, s2 in ((1.0, s), (s, 1.0))]
 
 
-def _segment_label(phi1: float, phi2: float, x1: float, x2: float, beta: float, t: float) -> tuple[int, bool]:
-    """(case, flipped) after a donation t, classified in the post-transfer orientation."""
+def _segment_label(phi1: float, phi2: float, x1: float, x2: float, beta: float, t: float) -> tuple[int, float, bool]:
+    """(case, split, flipped) after a donation t, classified in the post-transfer orientation.
+
+    The split is the adversary's allocation to the front of the player
+    that is player 1 in that orientation.
+    """
     u, v = x1 + beta * t, x2 - t
     if phi2 * u > phi1 * v:
-        return _response_f(phi2, phi1, v, u)[0], True
-    return _response_f(phi1, phi2, u, v)[0], False
+        case, a = _response_f(phi2, phi1, v, u)
+        return case, a, True
+    case, a = _response_f(phi1, phi2, u, v)
+    return case, a, False
+
+
+def _donation_payoffs(phi1: float, phi2: float, x1: float, x2: float, beta: float, t: float):
+    """(case, u1, u2) after a donation t, from _segment_label's one response."""
+    case, a, flipped = _segment_label(phi1, phi2, x1, x2, beta, t)
+    b = 1.0 - a
+    if flipped:
+        a, b = b, a
+    return case, payoff(x1 + beta * t, a, phi1), payoff(x2 - t, b, phi2)
 
 
 def _stationary_ratios(phi1, phi2, x1, x2, beta):
@@ -362,7 +380,7 @@ def _stationary_ratios(phi1, phi2, x1, x2, beta):
     return big_k * big_k * phi1 / phi2, beta / big_k * (beta / big_k) * phi1 / phi2, beta * beta * phi1 / phi2
 
 
-def _march_alliance(phi1: float, phi2: float, x1: float, x2: float, beta: float) -> float:
+def _march_alliance(phi1: float, phi2: float, x1: float, x2: float, beta: float, cuts: list[float]) -> float:
     """Donation size t = -tau >= 0 maximizing u1 + u2 in the oriented frame.
 
     _cuts splits the donation path [0, t_top] at the case boundaries into
@@ -380,9 +398,8 @@ def _march_alliance(phi1: float, phi2: float, x1: float, x2: float, beta: float)
     or beta^2*phi1/phi2, is at most the ray's phi1/phi2; each stops at the cut.
     """
     ratio_2, ratio_2_flipped, ratio_3 = _stationary_ratios(phi1, phi2, x1, x2, beta)
-    cuts = _cuts(phi1, phi2, x1, x2, beta)
     for t_a, t_b in zip(cuts, cuts[1:]):
-        case, flipped = _segment_label(phi1, phi2, x1, x2, beta, 0.5 * (t_a + t_b))
+        case, _, flipped = _segment_label(phi1, phi2, x1, x2, beta, 0.5 * (t_a + t_b))
         if case == 1 and not flipped:
             continue
         if case in (1, 4):
@@ -394,20 +411,26 @@ def _march_alliance(phi1: float, phi2: float, x1: float, x2: float, beta: float)
     return cuts[-1]
 
 
-def _alliance_gain(phi1, phi2, x1, x2, beta, t, payoffs=_payoffs_any_f):
-    """The gain in u1 + u2 of a donation t, and whether it loses; arrays take payoffs=_payoffs_vec."""
+def _alliance_gain(phi1, phi2, x1, x2, beta, t, base, payoffs=_payoffs_any_f):
+    """The gain in u1 + u2 of a donation t over the zero-transfer (u1, u2) base, and whether it loses.
+
+    Arrays take payoffs=_payoffs_vec.
+    """
     u1, u2 = payoffs(phi1, phi2, x1 + beta * t, x2 - t)
-    u1_base, u2_base = payoffs(phi1, phi2, x1, x2)
+    u1_base, u2_base = base
     gain = (u1 + u2) - (u1_base + u2_base)
     return gain, gain < -1e-9 * (phi1 + phi2)
 
 
-def _alliance_optimal_f(phi1, phi2, x1, x2, beta, dagger: bool, swapped: bool, xa: float) -> tuple[float, float]:
-    """(tau, gain) for an oriented unit-adversary game with G-dagger verdict dagger, tau in the caller's frame."""
-    if dagger:
-        return 0.0, 0.0
-    t_dag = _march_alliance(phi1, phi2, x1, x2, beta)
-    gain, losing = _alliance_gain(phi1, phi2, x1, x2, beta, t_dag)
+def _alliance_optimal_f(
+    phi1, phi2, x1, x2, beta, base: tuple[float, float], cuts: list[float], swapped: bool, xa: float
+) -> tuple[float, float]:
+    """(tau, gain) for an oriented unit-adversary game outside G-dagger, tau in the caller's frame.
+
+    base is the zero-transfer (u1, u2) and cuts the game's _cuts list at beta.
+    """
+    t_dag = _march_alliance(phi1, phi2, x1, x2, beta, cuts)
+    gain, losing = _alliance_gain(phi1, phi2, x1, x2, beta, t_dag, base)
     if losing:
         raise InternalInconsistencyError(
             "alliance march produced a losing transfer",
@@ -425,8 +448,11 @@ def alliance_optimal(g: GameParams, beta: float) -> tuple[float, float]:
     """
     _check_beta(beta)
     phi1, phi2, x1, x2, swapped = _frame(g)
-    dagger = _verdicts_f(phi1, phi2, x1, x2, beta)[3]
-    return _alliance_optimal_f(phi1, phi2, x1, x2, beta, dagger, swapped, g.adversary_budget)
+    case, u1, u2 = _donation_payoffs(phi1, phi2, x1, x2, beta, 0.0)
+    if _verdicts(case, phi1, phi2, x1, x2, beta)[2]:
+        return 0.0, 0.0
+    cuts = _cuts(phi1, phi2, x1, x2, beta)
+    return _alliance_optimal_f(phi1, phi2, x1, x2, beta, (u1, u2), cuts, swapped, g.adversary_budget)
 
 
 def _quadratic_roots_vec(a, b, c) -> tuple[np.ndarray, np.ndarray]:
@@ -498,10 +524,11 @@ def _analyze_vec(phi1, phi2, x1, x2, beta):
         )
         overflow = np.logical_or(*map(np.isinf, _seed_squares(x1, x2, np.float_power)))
         t_dag = _march_alliance_vec(phi1, phi2, x1, x2, beta)
-        gain, losing = _alliance_gain(phi1, phi2, x1, x2, beta, t_dag, _payoffs_vec)
+        gain, losing = _alliance_gain(phi1, phi2, x1, x2, beta, t_dag, _payoffs_vec(phi1, phi2, x1, x2), _payoffs_vec)
     if (~dagger & (overflow | losing)).any():
-        for game in zip(*(v.tolist() for v in (phi1, phi2, x1, x2, beta, dagger))):
-            _alliance_optimal_f(*game, False, 1.0)
+        for *game, b, dag in zip(*(v.tolist() for v in (phi1, phi2, x1, x2, beta, dagger))):
+            if not dag:
+                _alliance_optimal_f(*game, b, _payoffs_any_f(*game), _cuts(*game, b), False, 1.0)
         raise InternalInconsistencyError("the array pass rejects a game that the point path accepts")
     tau = np.where(dagger, 0.0, -t_dag)
     # max(gain, 0.0): a difference of equal sums is +0.0, so no -0.0 reaches here
@@ -542,30 +569,48 @@ def _crossing_equations(phi, phi_o, u0, p0, p1, q0, q1) -> list[tuple[int, float
 
 
 def _mb_interval_oriented(
-    phi1: float, phi2: float, x1: float, x2: float, beta: float
+    phi1: float, phi2: float, x1: float, x2: float, beta: float, base: tuple[float, float], cuts: list[float]
 ) -> tuple[tuple[float, float] | None, bool]:
     """Maximal interval of donations improving both players, adjacent to 0.
 
+    base is the zero-transfer (u1, u2) and cuts the march's _cuts list, into
+    which the proportional band's edges are merged. A segment is split at the
+    roots of its own case's crossing equations, each solved at most once.
     Returns ((tau_low, tau_high), anomaly) in the oriented frame with
     tau_low < tau_high <= 0, or (None, True) when no donation improves both.
     The anomaly flag marks an improving set apart from 0 or in pieces.
     """
-    u1_base, u2_base = _payoffs_f(phi1, phi2, x1, x2)
+    u1_base, u2_base = base
+    edges = sorted(cuts + [t for t in _band_edges(phi1, phi2, x1, x2, beta) if 0.0 < t < cuts[-1]])
+    # (t_a, t_b, case, u1, u2): a segment's label and, unless a root splits it, its payoffs
+    segments = [
+        (t_a, t_b, *_donation_payoffs(phi1, phi2, x1, x2, beta, 0.5 * (t_a + t_b)))
+        for t_a, t_b in zip(edges, edges[1:])
+    ]
+    first_case, first_roots = segments[0][2], []
+    roots = {case: [] for _, _, case, _, _ in segments[1:]}
     equations = _crossing_equations(phi1, phi2, u1_base, x1, beta, x2, -1.0)
     equations += _crossing_equations(phi2, phi1, u2_base, x2, -1.0, x1, beta)
-    edges = _cuts(phi1, phi2, x1, x2, beta, _band_edges(phi1, phi2, x1, x2, beta))
-    cuts = edges.copy()
-    for t_a, t_b in zip(edges, edges[1:]):
-        case = _segment_label(phi1, phi2, x1, x2, beta, 0.5 * (t_a + t_b))[0]
-        for eq_case, a, b, c in equations:
-            if eq_case == case:
-                # the first segment's formulas meet u0 exactly at t = 0: drop c's rounding
-                cuts += [t for t in _quadratic_roots(a, b, c if t_a > 0.0 else 0.0) if t_a < t < t_b]
-    cuts.sort()
+    for case, a, b, c in equations:
+        if case in roots:
+            roots[case] += _quadratic_roots(a, b, c)
+        if case == first_case:
+            # the first segment's formulas meet u0 exactly at t = 0: drop c's rounding
+            first_roots += _quadratic_roots(a, b, 0.0)
 
+    pieces = []  # (t_a, t_b, u1, u2) between consecutive cuts and roots
+    for t_a, t_b, case, u1, u2 in segments:
+        inner = sorted([t for t in (roots[case] if t_a > 0.0 else first_roots) if t_a < t < t_b])
+        if inner:
+            bounds = [t_a, *inner, t_b]
+            pieces += [
+                (s_a, s_b, *_donation_payoffs(phi1, phi2, x1, x2, beta, 0.5 * (s_a + s_b))[1:])
+                for s_a, s_b in zip(bounds, bounds[1:])
+            ]
+        else:
+            pieces.append((t_a, t_b, u1, u2))
     runs: list[list[float]] = []
-    for t_a, t_b in zip(cuts, cuts[1:]):
-        u1, u2 = _payoffs_any_f(phi1, phi2, *_induced_budgets(x1, x2, -0.5 * (t_a + t_b), beta))
+    for t_a, t_b, u1, u2 in pieces:
         # no gain is 0 between cuts, so one that reads 0 is below rounding: no loss
         if t_a < t_b and u1 >= u1_base and u2 >= u2_base:
             if runs and runs[-1][1] == t_a:
@@ -583,9 +628,11 @@ def mb_interval(g: GameParams, beta: float) -> tuple[float, float] | None:
     """Open interval of transfers improving both players, in the caller's frame."""
     _check_beta(beta)
     phi1, phi2, x1, x2, swapped = _frame(g)
-    if not _verdicts_f(phi1, phi2, x1, x2, beta)[2]:
+    case, u1, u2 = _donation_payoffs(phi1, phi2, x1, x2, beta, 0.0)
+    if not _verdicts(case, phi1, phi2, x1, x2, beta)[1]:
         return None
-    return _map_interval(_mb_interval_oriented(phi1, phi2, x1, x2, beta)[0], swapped, g.adversary_budget)
+    interval = _mb_interval_oriented(phi1, phi2, x1, x2, beta, (u1, u2), _cuts(phi1, phi2, x1, x2, beta))[0]
+    return _map_interval(interval, swapped, g.adversary_budget)
 
 
 def _map_interval(
@@ -601,16 +648,26 @@ def _map_interval(
 
 
 def analyze(g: GameParams, beta: float) -> TransferAnalysis:
-    """Complete transfer analysis of a raw game at one efficiency value."""
+    """Complete transfer analysis of a raw game at one efficiency value.
+
+    The zero-transfer response gives the case, both verdicts and the base
+    payoffs; one _cuts list serves the interval and the alliance march.
+    """
     _check_beta(beta)
     phi1, phi2, x1, x2, swapped = _frame(g)
-    case, threshold, exists, dagger = _verdicts_f(phi1, phi2, x1, x2, beta)
-
-    interval, anomaly = _mb_interval_oriented(phi1, phi2, x1, x2, beta) if exists else (None, False)
-    tau, gain = _alliance_optimal_f(phi1, phi2, x1, x2, beta, dagger, swapped, g.adversary_budget)
+    xa = g.adversary_budget
+    case, u1, u2 = _donation_payoffs(phi1, phi2, x1, x2, beta, 0.0)  # the untransferred game, oriented
+    threshold, exists, dagger = _verdicts(case, phi1, phi2, x1, x2, beta)
+    interval, anomaly, tau, gain = None, False, 0.0, 0.0
+    if exists or not dagger:
+        cuts = _cuts(phi1, phi2, x1, x2, beta)
+        if exists:
+            interval, anomaly = _mb_interval_oriented(phi1, phi2, x1, x2, beta, (u1, u2), cuts)
+        if not dagger:
+            tau, gain = _alliance_optimal_f(phi1, phi2, x1, x2, beta, (u1, u2), cuts, swapped, xa)
     return TransferAnalysis(
         mb_exists=exists,
-        mb_interval=_map_interval(interval, swapped, g.adversary_budget),
+        mb_interval=_map_interval(interval, swapped, xa),
         mb_beta_threshold=threshold,
         alliance_tau=tau,
         alliance_payoff_gain=gain,

@@ -72,6 +72,16 @@ GOLDEN_STDOUT = {
         ["analyze", *G1_SWAPPED_FLAGS, "--beta", "0.9", "--text"],
         "bbc0c5c96681cc2386224b8ba3c149e0fd38c46a8ad21eee53a5558129360aba",
     ),
+    # case 3, swapped, against a non-unit adversary: mutual benefit and the alliance
+    # march share their zero-transfer work here. CI checks it through the console script.
+    "analyze-case-3-swapped": (
+        [
+            "analyze", "--phi1", "0.016601198819119242", "--phi2", "729841.7476219544",
+            "--x1", "7.883419048024603", "--x2", "4.570722311590334e-06", "--xa", "6242.757586339481",
+            "--beta", "0.5", "--json",
+        ],
+        "967093e0c99dc131661ec1f983be3829835f30e12cb0472f1caabba168b5e9b0",
+    ),
     "curve": (
         ["curve", *G1_FLAGS, "--beta", "0.8", "--tau-min", "-1.5", "--tau-max", "0.5", "--steps", "401"],
         "53130435b7fefe8c18f09fde1061348c1b7788c191e7dc133ea81414a862b690",

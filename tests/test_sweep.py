@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from blotto_alliance import sweep, transfer_engine as te
-from blotto_alliance.adversary_response import Case, GameParams, _frame, _proportional, mirror
+from blotto_alliance.adversary_response import Case, GameParams, _frame, _payoffs_any_f, _proportional, mirror
 from blotto_alliance.cli import main
 from blotto_alliance.sweep import (
     Axis,
@@ -65,7 +65,10 @@ def scalar_beta_sweep(g, beta_range, steps):
     rows = []
     for i in range(steps):
         beta = min(lo + (hi - lo) * i / (steps - 1), hi)
-        tau_dag, gain = te._alliance_optimal_f(*oriented, beta, te.in_g_dagger(g, beta), swapped, 1.0)
+        tau_dag, gain = 0.0, 0.0
+        if not te.in_g_dagger(g, beta):
+            base, cuts = _payoffs_any_f(*oriented), te._cuts(*oriented, beta)
+            tau_dag, gain = te._alliance_optimal_f(*oriented, beta, base, cuts, swapped, 1.0)
         assert (tau_dag * g.adversary_budget, gain) == te.alliance_optimal(g, beta)
         u1_dag, u2_dag = te._induced_payoffs(*game, tau_dag, beta)
         rows.append(

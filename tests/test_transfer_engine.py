@@ -21,6 +21,7 @@ from blotto_alliance.adversary_response import (
     _payoffs_f,
     _proportional,
     _response_f,
+    classify,
     mirror,
     normalize,
     optimal_split,
@@ -47,6 +48,7 @@ from support import (
     CASE4_GAME,
     G1,
     decimal_gains,
+    decimal_induced_payoffs,
     decimal_split,
     decimal_thresholds,
     log_uniform,
@@ -499,6 +501,73 @@ class TestAnalyze:
         assert du1 > 0.0 and du2 > 0.0
 
 
+# Log-uniform boxes of parameters that the point path is compared over.
+BOXES = pytest.mark.parametrize("box", [(0.05, 5.0), (1e-3, 1e3), (1e-6, 1e6)], ids=["0.05-5", "1e-3-1e3", "1e-6-1e6"])
+
+
+def outcome(fn, *args):
+    """(fn(*args), None), or (None, (type, message)) of the error it raises."""
+    try:
+        return fn(*args), None
+    except (ValueError, te.InternalInconsistencyError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def assert_analysis_matches_entry_points(g, beta):
+    """Every field of analyze by repr equals the entry point that computes it alone.
+
+    Returns (report, error): analyze raises exactly when mb_interval or
+    alliance_optimal does, and takes the interval first, so its error is
+    the first of theirs.
+    """
+    interval, interval_error = outcome(mb_interval, g, beta)
+    alliance, alliance_error = outcome(alliance_optimal, g, beta)
+    report, error = outcome(analyze, g, beta)
+    assert error == (interval_error or alliance_error), (g, beta)
+    if error is not None:
+        return report, error
+    alone = {
+        "mb_exists": mb_exists(g, beta),
+        "mb_beta_threshold": mb_beta_threshold(g),
+        "in_g_dagger": in_g_dagger(g, beta),
+        "mb_interval": interval,
+        "case_at_zero": classify(normalize(g)[0]),
+    }
+    for name, value in alone.items():
+        assert repr(getattr(report, name)) == repr(value), (g, beta, name)
+    assert repr((report.alliance_tau, report.alliance_payoff_gain)) == repr(alliance), (g, beta)
+    return report, None
+
+
+class TestAnalyzeMatchesEntryPoints:
+    """analyze shares its zero-transfer work between its fields; each still equals its entry point."""
+
+    @BOXES
+    def test_over_random_games(self, rng, box):
+        params = np.exp(rng.uniform(math.log(box[0]), math.log(box[1]), size=(300, 5)))
+        seen = set()
+        for p in params.tolist():
+            g = GameParams(*p)
+            for beta in DEFAULT_VERIFY_BETAS:
+                report, error = assert_analysis_matches_entry_points(g, beta)
+                assert error is None
+                seen.add((report.mb_exists, report.in_g_dagger, report.swapped))
+        # intervals, marches without one and G-dagger games, in both orientations
+        assert {(True, False), (False, False), (False, True)} <= {v[:2] for v in seen}
+        assert {True, False} <= {v[2] for v in seen}
+
+    @pytest.mark.parametrize(
+        "g, beta, kind",
+        [
+            (GameParams(1e300, 1.0, 1e200, 1.0), 0.5, ValueError),  # (1 - x1)**2 overflows
+            (GameParams(1.0, 1.0, math.exp(-1), math.exp(2)), 1e-16, te.InternalInconsistencyError),  # a losing march
+        ],
+        ids=["seed-overflow", "losing-transfer"],
+    )
+    def test_errors(self, g, beta, kind):
+        assert assert_analysis_matches_entry_points(g, beta)[1][0] is kind
+
+
 # Hypothesis draws of one parameter log-uniform in the audit's box [0.05, 5],
 # and of an efficiency above the tiny betas where the march is known to fail
 box = st.floats(min_value=math.log(0.05), max_value=math.log(5.0)).map(math.exp)
@@ -704,7 +773,10 @@ class TestMarchExtremes:
             grid = te._even_grid(*te._tau_bounds(*game[2:]), 2001)
             for beta in DEFAULT_VERIFY_BETAS:
                 u1, u2 = te._induced_payoffs_vec(*game, grid, beta)
-                tau = te._alliance_optimal_f(*game, beta, te._verdicts_f(*game, beta)[3], False, 1.0)[0]
+                tau = 0.0
+                if not te._verdicts_f(*game, beta)[3]:
+                    base, cuts = _payoffs_any_f(*game), te._cuts(*game, beta)
+                    tau = te._alliance_optimal_f(*game, beta, base, cuts, False, 1.0)[0]
                 best = sum(te._induced_payoffs(*game, tau, beta))
                 assert np.max(u1 + u2) - best <= 9 * 2.0**-53 * (g.phi1 + g.phi2)
 
@@ -777,6 +849,29 @@ class TestMarchExtremes:
             best = alliance_payoff(g, Transfer(tau, beta))
             u1, u2 = te._induced_payoffs_vec(*game, taus, beta)
             assert np.max(u1 + u2) - best <= 1e-9 * (phi1 + phi2)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the march stops in a case-2 segment 2e-17 wide while u1 + u2 still rises through the next case-3 one",
+    )
+    def test_does_not_stop_in_a_case_2_sliver(self):
+        g = GameParams(
+            499109.8985450305, 0.00012648682762207974, 4.396384601607237,
+            1.4855246143538252, 17.07339378803206,
+        )
+        gn, swapped = normalize(g)
+        assert not swapped
+        game = (gn.phi1, gn.phi2, gn.x1, gn.x2)
+        cuts = te._cuts(*game, 1.0)
+        t = te._march_alliance(*game, 1.0, cuts)
+        # the far end of the first case-3 segment past the march's stop
+        t_end = next(
+            t_b for t_a, t_b in zip(cuts, cuts[1:])
+            if t_a >= t and te._segment_label(*game, 1.0, 0.5 * (t_a + t_b))[0] == 3
+        )
+        at_tau = sum(decimal_induced_payoffs(*game, analyze(g, 1.0).alliance_tau / g.adversary_budget, 1.0))
+        at_end = sum(decimal_induced_payoffs(*game, -t_end, 1.0))
+        assert float(at_end - at_tau) <= 4.0 * 2.0**-53 * (g.phi1 + g.phi2)
 
     @pytest.mark.xfail(
         strict=True,
@@ -899,7 +994,7 @@ def march_with_cut_test(phi1, phi2, x1, x2, beta):
         u, v = x1 + beta * t_a, x2 - t_a
         if _proportional(phi2 * u, phi1 * v) and u + v >= 1.0:
             return t_a, True
-        case, flipped = te._segment_label(phi1, phi2, x1, x2, beta, 0.5 * (t_a + t_b))
+        case, _, flipped = te._segment_label(phi1, phi2, x1, x2, beta, 0.5 * (t_a + t_b))
         if case == 1 and not flipped:
             continue
         if case in (1, 4):
@@ -914,7 +1009,7 @@ def march_with_cut_test(phi1, phi2, x1, x2, beta):
 class TestCaseFourStop:
     """A case-4 cut stops the march through the label of the segment after it."""
 
-    @pytest.mark.parametrize("box", [(0.05, 5.0), (1e-3, 1e3), (1e-6, 1e6)], ids=["0.05-5", "1e-3-1e3", "1e-6-1e6"])
+    @BOXES
     def test_equals_a_march_that_tests_every_cut(self, rng, box):
         games = np.array([oriented_params(rng, *box) for _ in range(300)])
         stops = 0
@@ -925,7 +1020,7 @@ class TestCaseFourStop:
                     expected.append(0.0)
                     continue
                 t, at_cut = march_with_cut_test(*game, beta)
-                assert_bits_equal(te._march_alliance(*game, beta), t)
+                assert_bits_equal(te._march_alliance(*game, beta, te._cuts(*game, beta)), t)
                 expected.append(-t)
                 stops += at_cut
             assert_bits_equal(te._analyze_vec(*games.T, beta)[3], expected)
@@ -945,12 +1040,58 @@ class TestCaseFourStop:
                 if te._verdicts_f(*game, 1.0)[3]:
                     continue
                 p1, p2, y1, y2 = game
-                t, t_cut = te._march_alliance(*game, 1.0), march_with_cut_test(*game, 1.0)[0]
+                t, t_cut = te._march_alliance(*game, 1.0, te._cuts(*game, 1.0)), march_with_cut_test(*game, 1.0)[0]
                 assert t_cut <= t <= t_cut + 4.0 * (1.0 + p1 / p2) * 2.0**-53 * (y1 + y2), game
-                gain, gain_cut = (te._alliance_gain(*game, 1.0, at)[0] for at in (t, t_cut))
+                gain, gain_cut = (te._alliance_gain(*game, 1.0, at, _payoffs_any_f(*game))[0] for at in (t, t_cut))
                 assert abs(gain - gain_cut) <= 4.0 * 2.0**-53 * (p1 + p2), game
                 moved += t != t_cut
         assert moved > 0
+
+
+def interval_by_segment_solves(phi1, phi2, x1, x2, beta):
+    """_mb_interval_oriented's search as it once ran: each segment solves every crossing equation of its case anew."""
+    u1_base, u2_base = _payoffs_f(phi1, phi2, x1, x2)
+    equations = te._crossing_equations(phi1, phi2, u1_base, x1, beta, x2, -1.0)
+    equations += te._crossing_equations(phi2, phi1, u2_base, x2, -1.0, x1, beta)
+    march_cuts = te._cuts(phi1, phi2, x1, x2, beta)
+    bands = [t for t in te._band_edges(phi1, phi2, x1, x2, beta) if 0.0 < t < march_cuts[-1]]
+    edges = sorted(march_cuts + bands)
+    cuts = edges.copy()
+    for t_a, t_b in zip(edges, edges[1:]):
+        case = te._segment_label(phi1, phi2, x1, x2, beta, 0.5 * (t_a + t_b))[0]
+        for eq_case, a, b, c in equations:
+            if eq_case == case:
+                cuts += [t for t in te._quadratic_roots(a, b, c if t_a > 0.0 else 0.0) if t_a < t < t_b]
+    cuts.sort()
+    runs = []
+    for t_a, t_b in zip(cuts, cuts[1:]):
+        u1, u2 = _payoffs_any_f(phi1, phi2, *te._induced_budgets(x1, x2, -0.5 * (t_a + t_b), beta))
+        if t_a < t_b and u1 >= u1_base and u2 >= u2_base:
+            if runs and runs[-1][1] == t_a:
+                runs[-1][1] = t_b
+            else:
+                runs.append([t_a, t_b])
+    if not runs:
+        return None, True
+    t_low, t_high = runs[0]
+    return (-t_high, 0.0 - t_low), len(runs) > 1 or t_low > 0.0
+
+
+class TestIntervalRootSearch:
+    """Solving each crossing equation once finds the interval that a solve per segment found."""
+
+    @BOXES
+    def test_equals_a_solve_per_segment(self, rng, box):
+        games = [oriented_params(rng, *box) for _ in range(300)]
+        intervals = 0
+        for game in games:
+            base = _payoffs_f(*game)
+            for beta in DEFAULT_VERIFY_BETAS:
+                got = te._mb_interval_oriented(*game, beta, base, te._cuts(*game, beta))
+                # repr tells -0.0 from 0.0
+                assert repr(got) == repr(interval_by_segment_solves(*game, beta)), (game, beta)
+                intervals += got[0] is not None
+        assert intervals > 100
 
 
 def assert_thresholds_match_the_reference(phi1, phi2, x1, x2):
